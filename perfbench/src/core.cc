@@ -67,18 +67,41 @@ int Ladder::Nearest(double rate) const {
   return std::clamp(i, lo, hi);
 }
 
-int FindMaxPassing(const Ladder& ladder, int start, int max_probes,
-                   const std::function<bool(int)>& probe) {
-  start = std::clamp(start, ladder.lo, ladder.hi);
-  int probes = 1;
-  if (probe(start)) {
-    int i = start;
-    while (i < ladder.hi && probes++ < max_probes && probe(i + 1)) ++i;
-    return i;
+std::optional<int> FindMaxPassing(const Ladder& ladder, int start,
+                                  int max_probes,
+                                  const std::function<bool(int)>& probe) {
+  // Highest rung known to pass and lowest known to fail; lo - 1 and hi + 1
+  // stand for "none yet".
+  int pass = ladder.lo - 1;
+  int fail = ladder.hi + 1;
+  int probes = 0;
+  auto run = [&](int i) {
+    ++probes;
+    if (probe(i)) {
+      pass = i;
+    } else {
+      fail = i;
+    }
+  };
+  run(std::clamp(start, ladder.lo, ladder.hi));
+  // Gallop up while rungs pass, or down while they fail.
+  for (int step = 1; probes < max_probes; step *= 2) {
+    if (pass >= ladder.lo && fail > ladder.hi) {
+      if (pass == ladder.hi) break;
+      run(std::min(ladder.hi, pass + step));
+    } else if (pass < ladder.lo) {
+      if (fail == ladder.lo) break;
+      run(std::max(ladder.lo, fail - step));
+    } else {
+      break;
+    }
   }
-  int i = start - 1;
-  while (i >= ladder.lo && probes++ < max_probes && !probe(i)) --i;
-  return i;
+  // Bisect between the two.
+  while (pass >= ladder.lo && fail - pass > 1 && probes < max_probes) {
+    run(pass + (fail - pass) / 2);
+  }
+  if (pass < ladder.lo) return std::nullopt;
+  return pass;
 }
 
 const ServingSpec& DashboardSmall() {
@@ -93,13 +116,14 @@ const ServingSpec& DashboardSmall() {
     s.reads_per_row = 3.0;
     s.reload_every_s = 10.0;
     s.light_rps = 350.0;
-    s.heavy_rps = 980.0;
+    s.heavy_rps = 860.0;
     s.p99_limit_ms = 100.0;
     s.ladder = Ladder{100.0, 1.04, 0, 80};
-    s.ladder_start_rps = 1400.0;
+    s.ladder_start_rps = 1331.0;
     s.forecasts_per_step = 1000;
     s.repeats = 4;
     s.forecasts_per_probe = 3000;
+    s.finetune_segments = 9;
     return s;
   }();
   return spec;
@@ -120,7 +144,7 @@ const ServingSpec& Pems08City() {
     s.heavy_rps = 136.0;
     s.p99_limit_ms = 250.0;
     s.ladder = Ladder{20.0, 1.04, 0, 80};
-    s.ladder_start_rps = 210.0;
+    s.ladder_start_rps = 202.0;
     s.forecasts_per_step = 1000;
     s.forecasts_per_probe = 1000;
     return s;

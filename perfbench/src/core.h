@@ -64,13 +64,17 @@ struct Ladder {
   int Nearest(double rate) const;
 };
 
-/// Walks the ladder from `start`: upward while steps pass, downward until
-/// one passes, probing at most `max_probes` steps. Returns the highest
-/// passing index found; when no probed step passed, the index just below
-/// the lowest one probed (lo - 1 at the bottom). `probe(i)` runs step i
-/// and reports whether it met the workload's limits.
-int FindMaxPassing(const Ladder& ladder, int start, int max_probes,
-                   const std::function<bool(int)>& probe);
+/// Finds the highest passing rung. Probes `start`, gallops away from it
+/// (1, 3, 7, 15, ... rungs) until the outcome flips or the ladder ends,
+/// then bisects the bracket, assuming pass/fail is monotone in the rate.
+/// Returns a rung that was probed and passed: the highest one found, or,
+/// when `max_probes` runs out first, the highest one probed so far.
+/// nullopt when no probed rung passed (the bottom rung failed, or the cap
+/// ran out first). `probe(i)` runs rung i and reports whether it met the
+/// workload's limits.
+std::optional<int> FindMaxPassing(const Ladder& ladder, int start,
+                                  int max_probes,
+                                  const std::function<bool(int)>& probe);
 
 // --- workloads and schedules -------------------------------------------------
 
@@ -103,6 +107,8 @@ struct ServingSpec {
   int64_t forecasts_per_probe = 1000;
   /// Batch of the core-module and GEMM probes (serving answers B=1).
   int64_t probe_batch = 1;
+  /// Fresh engines the fine-tune throughput probe averages over.
+  int finetune_segments = 5;
 };
 
 const ServingSpec& DashboardSmall();

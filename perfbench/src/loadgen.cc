@@ -16,18 +16,13 @@
 #include <chrono>
 #include <cstring>
 #include <deque>
-#include <fstream>
 #include <stdexcept>
 #include <thread>
 
+#include "report.h"
+
 namespace perfbench {
 namespace {
-
-int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// A loopback port that was free a moment ago (the child binds it next).
 int PickPort() {
@@ -84,17 +79,7 @@ bool ServerProcess::Alive() {
 }
 
 double ServerProcess::PeakRssMb() const {
-  std::ifstream status("/proc/" + std::to_string(pid_) + "/status");
-  std::string key;
-  while (status >> key) {
-    if (key == "VmHWM:") {
-      double kb = 0.0;
-      status >> kb;
-      return kb / 1024.0;
-    }
-    status.ignore(1 << 16, '\n');
-  }
-  return 0.0;
+  return perfbench::PeakRssMb(std::to_string(pid_));
 }
 
 void ServerProcess::Stop() {

@@ -52,6 +52,12 @@ double NowSeconds() {
       .count();
 }
 
+int64_t NowNs() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
 namespace {
 
 /// (steal, total) jiffies of the aggregate "cpu" line of /proc/stat.
@@ -82,8 +88,8 @@ double StealMeter::Share() const {
                         : 0.0;
 }
 
-double SelfPeakRssMb() {
-  std::ifstream status("/proc/self/status");
+double PeakRssMb(const std::string& pid) {
+  std::ifstream status("/proc/" + pid + "/status");
   std::string key;
   while (status >> key) {
     if (key == "VmHWM:") {

@@ -16,6 +16,8 @@ struct Metric {
 
 /// Wall-clock seconds since an arbitrary epoch (steady clock).
 double NowSeconds();
+/// The same clock in nanoseconds.
+int64_t NowNs();
 
 /// Counts and metrics of one benchmark invocation.
 struct Report {
@@ -44,9 +46,9 @@ class WorkDir {
   std::string path_;
 };
 
-
-/// VmHWM of this process, MiB.
-double SelfPeakRssMb();
+/// Peak resident set (VmHWM) of process `pid` ("self" for this one), MiB;
+/// 0 when it cannot be read.
+double PeakRssMb(const std::string& pid);
 
 /// Share of all CPU time that the hypervisor gave to other guests (steal,
 /// from /proc/stat) since construction. A shared host steals in bursts

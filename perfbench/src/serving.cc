@@ -5,11 +5,11 @@
 // fixed light and heavy rates, then up the max_rate_rps ladder.
 //
 // Traced run (the per-layer numbers): the same seeded schedule at the
-// light rate once over TCP and once against an in-process FleetNode with
-// spans off (their p50 difference is the transport gap), then at light
-// and heavy against a fresh in-process node with spans on (the light p50
-// difference to the spans-off run is the tracing overhead), then the
-// model-layer and training-layer probes.
+// light rate over TCP and against an in-process FleetNode through
+// FleetLineSession::Handle (their p50 difference is the transport gap),
+// then through the split forecast path with spans off and with spans on
+// (their p50 difference is the tracing overhead), heavy with spans on,
+// then the model-layer and training-layer probes.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -36,19 +36,15 @@ using stwa::fleet::FleetLineSession;
 using stwa::fleet::FleetNode;
 using stwa::fleet::ModelProfile;
 
-constexpr int kSetupReps = 5;
-/// Ladder probes per run: enough to walk several rungs from the start in
-/// either direction; a much slower build reports a capped (lower) rate
-/// rather than running past the time limit.
-constexpr int kMaxProbes = 6;
+constexpr int kSetupReps = 15;
+/// Ladder probes per run. The gallop and bisection find the exact rung
+/// within about 40 rungs (a factor of 4.8) of the start in twelve probes;
+/// a run whose probes all fail reports no rate and fails.
+constexpr int kMaxProbes = 12;
 /// Warm-up rows per tile: one full history window.
 constexpr int64_t kHistory = 12;
-
-int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+/// PushTile calls timed by the standalone probe.
+constexpr int64_t kPushProbes = 2000;
 
 /// Per-forecast server-side fields (in-process runs only).
 struct ForecastMeta {
@@ -348,17 +344,87 @@ struct InprocOutcome {
   std::vector<SpanBuffer> spans;
 };
 
+/// How ReplayInproc answers forecast lines. Obs and reload lines always go
+/// through FleetLineSession::Handle.
+enum class Replay {
+  /// Forecasts through Handle too: the in-process twin of the TCP run.
+  kHandle,
+  /// Forecasts through the public calls Handle makes (TryAdmit,
+  /// ForecastTile, future::get, RecordForecast, FormatForecastResponse),
+  /// so each can be timed, with spans off.
+  kSplit,
+  /// kSplit with a span around every call.
+  kSplitTraced,
+};
+
+/// Span recording of one replay thread. With spans off every call is a
+/// no-op, clock reads included, so kSplit and kSplitTraced differ only by
+/// the tracing.
+class Tracer {
+ public:
+  explicit Tracer(SpanBuffer* buf) : buf_(buf) {}
+  int64_t Now() const { return buf_ != nullptr ? NowNs() : 0; }
+  int32_t Add(int64_t req, int32_t parent, SpanName name, int64_t start_ns,
+              int64_t end_ns) {
+    return buf_ != nullptr ? buf_->Add(req, parent, name, start_ns, end_ns)
+                           : -1;
+  }
+  void SetEnd(int32_t id, int64_t end_ns) {
+    if (buf_ != nullptr) buf_->SetEnd(id, end_ns);
+  }
+
+ private:
+  SpanBuffer* buf_;
+};
+
+/// The forecast branch of FleetLineSession::Handle, call by call, for a
+/// tile that is known to be in range. Fills `meta` from the Response.
+std::string SplitForecast(FleetNode& node, const FleetLineSession& session,
+                          ModelProfile& profile, const std::string& head,
+                          int64_t tile, Tracer& tr, int64_t req, int32_t root,
+                          ForecastMeta* meta) {
+  const int64_t t0 = tr.Now();
+  const bool admitted = node.admission().TryAdmit(session.tenant());
+  tr.Add(req, root, SpanName::kAdmit, t0, tr.Now());
+  if (!admitted) return "throttled tenant=" + session.tenant();
+  if (!profile.TileReady(tile)) return "forecast ok=0 degraded=0 err=warming";
+  // Handle's own stopwatch for RecordForecast: read with spans off too.
+  const int64_t s0 = NowNs();
+  auto future = profile.ForecastTile(tile);
+  const int64_t s1 = tr.Now();
+  tr.Add(req, root, SpanName::kSubmit, s0, s1);
+  const stwa::serve::Response resp = future.get();
+  const int64_t w1 = NowNs();
+  const int32_t wait = tr.Add(req, root, SpanName::kWait, s1, w1);
+  // Queue wait and compute, as the server reports them, placed at the end
+  // of the wait (where they happened).
+  const int64_t c0 =
+      std::max(s1, w1 - static_cast<int64_t>(resp.compute_micros * 1e3));
+  const int64_t q0 =
+      std::max(s1, c0 - static_cast<int64_t>(resp.queue_micros * 1e3));
+  tr.Add(req, wait, SpanName::kQueueWait, q0, c0);
+  tr.Add(req, wait, SpanName::kCompute, c0, w1);
+  *meta = ForecastMeta{resp.queue_micros, resp.compute_micros,
+                       resp.batch_size};
+  if (resp.ok) {
+    node.RecordForecast(session.tenant(), head,
+                        static_cast<double>(w1 - s0) * 1e-3);
+  }
+  const int64_t r1 = tr.Now();
+  tr.Add(req, root, SpanName::kRecord, w1, r1);
+  const stwa::serve::ServingInfo info = profile.Info();
+  std::string line = stwa::serve::FormatForecastResponse(
+      resp, info.num_sensors, info.settings.horizon, info.num_features);
+  tr.Add(req, root, SpanName::kFormat, r1, tr.Now());
+  return line;
+}
+
 /// Replays `events` against `node`: one thread per connection, each with
-/// its own FleetLineSession, sleeping until each line's due time. Spans
-/// off: every line goes through FleetLineSession::Handle. Spans on: the
-/// forecast path is driven through the public calls Handle makes
-/// (admission, ForecastTile, RecordForecast, FormatForecastResponse), each
-/// under a span; obs lines alternate between Handle and a direct PushTile
-/// so both are timed on the same stream.
+/// its own FleetLineSession, sleeping until each line's due time.
 InprocOutcome ReplayInproc(FleetNode& node, Fixture& fx,
                            const std::vector<Event>& events,
                            const std::vector<std::string>& lines, int conns,
-                           bool traced) {
+                           Replay mode) {
   InprocOutcome out;
   out.responses.resize(events.size());
   out.lag_ms.resize(events.size());
@@ -367,20 +433,13 @@ InprocOutcome ReplayInproc(FleetNode& node, Fixture& fx,
     out.spans.emplace_back(events.size() * 4 / conns + 64);
   }
   ModelProfile* profile = node.registry().Find(fx.profile());
-  std::vector<std::vector<float>> rows(events.size());
-  if (traced) {
-    for (size_t i = 0; i < events.size(); ++i) {
-      if (events[i].kind == Event::Kind::kObs) {
-        rows[i] = fx.Row(events[i].tile, events[i].index);
-      }
-    }
-  }
   const int64_t start = NowNs() + 2'000'000;
   auto worker = [&](int c) {
     FleetLineSession session(node);
-    SpanBuffer& buf = out.spans[static_cast<size_t>(c)];
+    Tracer tr(mode == Replay::kSplitTraced
+                  ? &out.spans[static_cast<size_t>(c)]
+                  : nullptr);
     bool quit = false;
-    int64_t obs_seen = 0;
     for (size_t i = 0; i < events.size(); ++i) {
       const Event& e = events[i];
       if (e.conn != c) continue;
@@ -389,71 +448,27 @@ InprocOutcome ReplayInproc(FleetNode& node, Fixture& fx,
           std::chrono::nanoseconds(due)));
       const int64_t t0 = NowNs();
       out.lag_ms[i] = static_cast<double>(t0 - due) * 1e-6;
+      const int64_t req = static_cast<int64_t>(i);
+      const int32_t root = tr.Add(req, -1, SpanName::kRequest, due, 0);
       std::string line;
       // A throwing call fails its line instead of ending the process.
       try {
-        if (!traced) {
-          line = session.Handle(lines[i], &quit).value_or("");
+        if (e.kind == Event::Kind::kForecast && mode != Replay::kHandle) {
+          line = SplitForecast(node, session, *profile, fx.profile(), e.tile,
+                               tr, req, root, &out.meta[i]);
         } else {
-          const int32_t root = buf.Add(static_cast<int64_t>(i), -1,
-                                       SpanName::kRequest, due, 0);
-          const int64_t req = static_cast<int64_t>(i);
-          if (e.kind == Event::Kind::kObs) {
-            if (obs_seen++ % 2 == 0) {
-              line = session.Handle(lines[i], &quit).value_or("");
-              buf.Add(req, root, SpanName::kHandleObs, t0, NowNs());
-            } else {
-              profile->PushTile(e.tile, rows[i]);
-              buf.Add(req, root, SpanName::kPushTile, t0, NowNs());
-              line = "ok";
-            }
-          } else if (e.kind == Event::Kind::kReload) {
-            const stwa::fleet::ReloadResult r =
-                profile->Reload(fx.ReloadPath(e.index));
-            buf.Add(req, root, SpanName::kReload, t0, NowNs());
-            line = "reload ok=1 version=" + std::to_string(r.version);
-          } else {
-            const bool admitted = node.admission().TryAdmit(session.tenant());
-            const int64_t a1 = NowNs();
-            buf.Add(req, root, SpanName::kAdmit, t0, a1);
-            if (!admitted) {
-              line = "throttled";
-            } else if (!profile->TileReady(e.tile)) {
-              line = "forecast ok=0 warming";
-            } else {
-              const int64_t s0 = NowNs();
-              auto future = profile->ForecastTile(e.tile);
-              const int64_t s1 = NowNs();
-              buf.Add(req, root, SpanName::kSubmit, s0, s1);
-              const stwa::serve::Response resp = future.get();
-              const int64_t w1 = NowNs();
-              const int32_t wait = buf.Add(req, root, SpanName::kWait, s1, w1);
-              // Queue wait and compute, as the server reports them, placed
-              // at the end of the wait (where they happened).
-              const int64_t c0 = std::max(
-                  s1, w1 - static_cast<int64_t>(resp.compute_micros * 1e3));
-              const int64_t q0 = std::max(
-                  s1, c0 - static_cast<int64_t>(resp.queue_micros * 1e3));
-              buf.Add(req, wait, SpanName::kQueueWait, q0, c0);
-              buf.Add(req, wait, SpanName::kCompute, c0, w1);
-              out.meta[i] = ForecastMeta{resp.queue_micros, resp.compute_micros,
-                                         resp.batch_size};
-              node.RecordForecast(session.tenant(), fx.profile(),
-                                  static_cast<double>(w1 - s0) * 1e-3);
-              const int64_t r1 = NowNs();
-              buf.Add(req, root, SpanName::kRecord, w1, r1);
-              const stwa::serve::ServingInfo info = profile->Info();
-              line = stwa::serve::FormatForecastResponse(
-                  resp, info.num_sensors, info.settings.horizon,
-                  info.num_features);
-              buf.Add(req, root, SpanName::kFormat, r1, NowNs());
-            }
+          line = session.Handle(lines[i], &quit).value_or("");
+          if (e.kind != Event::Kind::kForecast) {
+            tr.Add(req, root,
+                   e.kind == Event::Kind::kObs ? SpanName::kHandleObs
+                                               : SpanName::kReload,
+                   t0, tr.Now());
           }
-          buf.SetEnd(root, NowNs());
         }
       } catch (const std::exception& ex) {
         line = std::string("err ") + ex.what();
       }
+      tr.SetEnd(root, tr.Now());
       out.responses[i].at_ns = NowNs() - start;
       out.responses[i].line = std::move(line);
     }
@@ -552,6 +567,7 @@ void Untraced(const ServingSpec& spec, const Options& options,
   ServingRun run(spec, options.seed, dir, conns);
   std::vector<double> setups;
   TcpTarget target;
+  const double spawns_t0 = NowSeconds();
   for (int rep = 0; rep < kSetupReps; ++rep) {
     target = TcpTarget();  // stops the previous child first
     target = StartTcp(run, options, dir);
@@ -560,8 +576,8 @@ void Untraced(const ServingSpec& spec, const Options& options,
     report->failed += target.failed;
   }
   const double setup_s = Median(setups);
-  std::printf("  setup          %.4fs (median of %d spawns)\n", setup_s,
-              kSetupReps);
+  std::printf("  setup          %.4fs (median of %d spawns, %.1fs in all)\n",
+              setup_s, kSetupReps, NowSeconds() - spawns_t0);
 
   // Each fixed rate runs as spec.repeats steps, light and heavy
   // alternating so both sample the whole run's conditions; each rate's
@@ -569,7 +585,9 @@ void Untraced(const ServingSpec& spec, const Options& options,
   // take 60% of the budget (each step at least the spec's floor of
   // forecasts); the ladder and the fine-tune probe use the rest.
   const double share = options.seconds * 0.3 / spec.repeats;
-  int64_t attempted = 0, failed = 0, mismatches = 0;
+  // Fixed-rate failures include their mismatches; a ladder probe may fail
+  // its limits, but a wrong answer there is still a failure.
+  int64_t attempted = 0, failed = 0, mismatches = 0, probe_mismatches = 0;
   std::vector<double> light_ms, heavy_ms;
   for (int k = 0; k < spec.repeats; ++k) {
     for (const bool heavy : {false, true}) {
@@ -591,24 +609,30 @@ void Untraced(const ServingSpec& spec, const Options& options,
   const double heavy_p50 = Percentile(heavy_ms, 5000).value_or(INFINITY);
   const double heavy_p99 = Percentile(heavy_ms, 9900).value_or(INFINITY);
   uint64_t label = 100;
-  const int best = FindMaxPassing(
+  const std::optional<int> best = FindMaxPassing(
       spec.ladder, spec.ladder.Nearest(spec.ladder_start_rps), kMaxProbes,
       [&](int i) {
         const double rate = spec.ladder.Rate(i);
         const StepResult probe =
             TcpStep(run, target, rate, spec.forecasts_per_probe, label++);
-        mismatches += probe.mismatches;
+        probe_mismatches += probe.mismatches;
         const bool pass = run.Passes(probe);
         PrintStep(pass ? "ladder pass" : "ladder fail", probe);
         return pass;
       });
-  const double max_rate = spec.ladder.Rate(best);
   const double rss = target.server->PeakRssMb();
   target = TcpTarget();
 
   report->attempted += attempted;
-  report->failed += failed + mismatches;
-  if (mismatches > 0) report->correct = false;
+  report->failed += failed + probe_mismatches;
+  if (mismatches + probe_mismatches > 0) report->correct = false;
+  // No rung met the limits: the search itself is a failed operation.
+  ++report->attempted;
+  if (!best) {
+    std::printf("  ladder: no probed rung met the limits\n");
+    ++report->failed;
+  }
+  const double max_rate = best ? spec.ladder.Rate(*best) : 0.0;
   const double ok_frac =
       1.0 - static_cast<double>(report->failed) /
                 static_cast<double>(std::max<int64_t>(1, report->attempted));
@@ -618,7 +642,8 @@ void Untraced(const ServingSpec& spec, const Options& options,
       ServingDataset(spec, options.seed, 1152);
   const TrainRates rates =
       MeasureTrainRates(traffic, ServingSettings(spec), options.seed,
-                        std::min(2.0, options.seconds / 15.0));
+                        spec.finetune_segments,
+                        std::min(4.0, options.seconds / 7.5));
   report->attempted += rates.steps;
   report->failed += rates.nonfinite_losses;
   std::printf("  host steal during the run: %.1f%% of the CPU\n",
@@ -667,21 +692,26 @@ void TraceServingLayers(const ServingSpec& spec, const Options& options,
     tally(delayed_ack);
   }
 
-  // 2. The same schedule in-process, spans off.
-  StepResult plain;
-  {
+  // 2. The same schedule in-process: every line through Handle, then the
+  // split forecast path with spans off, each against a fresh node.
+  auto inproc_step = [&](Replay mode, const char* what) {
     FleetNode node(stwa::fleet::LoadFleetConfig(run.fx().config_path()));
     WarmInproc(node, run, report);
     run.Reset();
     const std::vector<Event> events = run.Step(spec.light_rps, light_n, 1);
     const InprocOutcome out =
-        ReplayInproc(node, run.fx(), events, run.Lines(events), conns, false);
-    plain = run.Evaluate(spec.light_rps, events, out.responses, out.lag_ms);
-    PrintStep("inproc light", plain);
-    tally(plain);
-  }
+        ReplayInproc(node, run.fx(), events, run.Lines(events), conns, mode);
+    const StepResult r =
+        run.Evaluate(spec.light_rps, events, out.responses, out.lag_ms);
+    PrintStep(what, r);
+    tally(r);
+    return r;
+  };
+  const StepResult plain = inproc_step(Replay::kHandle, "inproc light");
+  const StepResult split = inproc_step(Replay::kSplit, "inproc split light");
 
-  // 3. Light and heavy in-process with spans on, against a fresh node.
+  // 3. Light and heavy on the split path with spans on, against a fresh
+  // node (light replays the same schedule as the runs above).
   FleetNode node(stwa::fleet::LoadFleetConfig(run.fx().config_path()));
   ModelProfile* profile = node.registry().Find(run.fx().profile());
   const int64_t workers =
@@ -699,7 +729,7 @@ void TraceServingLayers(const ServingSpec& spec, const Options& options,
     const std::vector<Event> events = run.Step(rate, n, label);
     const stwa::serve::ServerStats before = profile->Stats();
     t.out = ReplayInproc(node, run.fx(), events, run.Lines(events), conns,
-                         true);
+                         Replay::kSplitTraced);
     t.cache = Delta(before, profile->Stats());
     t.step = run.Evaluate(rate, events, t.out.responses, t.out.lag_ms);
     PrintStep(what, t.step);
@@ -718,6 +748,22 @@ void TraceServingLayers(const ServingSpec& spec, const Options& options,
     prepare_ms.push_back(r.prepare_us * 1e-3);
     swap_us.push_back(r.swap_us);
     drain_ms.push_back(r.drain_us * 1e-3);
+  }
+
+  // PushTile alone, on the idle node: rows of steps no schedule reaches,
+  // tiles in turn.
+  std::vector<double> push_us;
+  {
+    const int64_t tiles = spec.tiles;
+    std::vector<std::vector<float>> rows;
+    for (int64_t k = 0; k < kPushProbes; ++k) {
+      rows.push_back(run.fx().Row(k % tiles, (int64_t{1} << 30) + k / tiles));
+    }
+    for (int64_t k = 0; k < kPushProbes; ++k) {
+      const int64_t t0 = NowNs();
+      profile->PushTile(k % tiles, rows[static_cast<size_t>(k)]);
+      push_us.push_back(static_cast<double>(NowNs() - t0) * 1e-3);
+    }
   }
 
   const auto& spans = light.out.spans;
@@ -741,7 +787,7 @@ void TraceServingLayers(const ServingSpec& spec, const Options& options,
   report->Add("transport.gap_p50_ms", tcp.p50_ms - plain.p50_ms, "ms");
   report->Add("transport.delayed_ack_p50_ms", delayed_ack.p50_ms - tcp.p50_ms,
               "ms");
-  report->Add("trace.overhead_p50_ms", light.step.p50_ms - plain.p50_ms,
+  report->Add("trace.overhead_p50_ms", light.step.p50_ms - split.p50_ms,
               "ms");
   report->Add("protocol.handle_obs_us",
               Median(DurationsUs(spans, SpanName::kHandleObs)), "us");
@@ -750,8 +796,7 @@ void TraceServingLayers(const ServingSpec& spec, const Options& options,
   report->Add("protocol.response_bytes", light.step.response_bytes, "bytes");
   report->Add("fleet.admit_us", Median(DurationsUs(spans, SpanName::kAdmit)),
               "us");
-  report->Add("fleet.push_tile_us",
-              Median(DurationsUs(spans, SpanName::kPushTile)), "us");
+  report->Add("fleet.push_tile_us", Median(push_us), "us");
   report->Add("fleet.submit_us",
               Median(DurationsUs(spans, SpanName::kSubmit)), "us");
   report->Add("fleet.reload_prepare_ms", Median(prepare_ms), "ms");

@@ -10,7 +10,6 @@ const char* SpanLabel(SpanName name) {
   switch (name) {
     case SpanName::kRequest: return "request";
     case SpanName::kHandleObs: return "protocol.handle_obs";
-    case SpanName::kPushTile: return "fleet.push_tile";
     case SpanName::kAdmit: return "fleet.admit";
     case SpanName::kSubmit: return "fleet.submit";
     case SpanName::kWait: return "serve.wait";

@@ -16,7 +16,6 @@ namespace perfbench {
 enum class SpanName : uint8_t {
   kRequest,           // one client line, due time to answer
   kHandleObs,         // FleetLineSession::Handle on an obs line
-  kPushTile,          // ModelProfile::PushTile
   kAdmit,             // AdmissionController::TryAdmit
   kSubmit,            // ModelProfile::ForecastTile (enqueue)
   kWait,              // future::get on the forecast

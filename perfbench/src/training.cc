@@ -182,38 +182,53 @@ stwa::data::TrafficDataset ServingDataset(const ServingSpec& spec,
 
 TrainRates MeasureTrainRates(const stwa::data::TrafficDataset& dataset,
                              const stwa::baselines::ModelSettings& settings,
-                             uint64_t seed, double budget_s) {
+                             uint64_t seed, int segments, double budget_s) {
+  // Each segment runs a fresh model and engine: one engine's median step
+  // can sit 50 % off another's, in two modes, so a single engine would set
+  // a run's rate by chance. Each rate is the mean over the segments of the
+  // rate at the segment's median step or pass time.
+  const double segment_s = budget_s / (2 * segments);
   TrainRates rates;
   stwa::train::Trainer trainer(dataset, kHistory, settings.horizon, Config());
-  auto model = stwa::baselines::MakeModel("ST-WA", dataset, settings);
-  stwa::train::StepEngine engine(*model, stwa::train::StepEngineConfig());
-  stwa::Rng order(seed);
-  const auto batches = trainer.train_sampler().EpochBatches(kBatch, &order);
-  stwa::data::Batch batch;
-  std::vector<double> step_s;
-  const double t_end = NowSeconds() + budget_s / 2;
-  for (size_t i = 0; i < batches.size(); ++i) {
-    if (batches[i].size() != static_cast<size_t>(kBatch)) continue;
-    trainer.train_sampler().MakeBatchInto(batches[i], &batch);
-    const double t0 = NowSeconds();
-    const float loss = engine.Step(batch);
-    if (i > 0) step_s.push_back(Seconds(t0));  // the first step captures
-    ++rates.steps;
-    if (!std::isfinite(loss)) ++rates.nonfinite_losses;
-    if (step_s.size() >= 5 && NowSeconds() > t_end) break;
-  }
-  rates.train_samples_per_s = kBatch / Median(step_s);
   const auto& val = trainer.val_sampler();
-  engine.EvaluateOn(val, trainer.scaler(), kBatch);  // captures eval plans
-  std::vector<double> pass_s;
-  const double e_end = NowSeconds() + budget_s / 2;
-  do {
-    const double t0 = NowSeconds();
-    engine.EvaluateOn(val, trainer.scaler(), kBatch);
-    pass_s.push_back(Seconds(t0));
-  } while (pass_s.size() < 3 || NowSeconds() < e_end);
-  rates.eval_samples_per_s =
-      static_cast<double>(val.num_samples()) / Median(pass_s);
+  for (int seg = 0; seg < segments; ++seg) {
+    auto model = stwa::baselines::MakeModel("ST-WA", dataset, settings);
+    stwa::train::StepEngine engine(*model, stwa::train::StepEngineConfig());
+    stwa::Rng order(SubSeed(seed, 0x7a2, static_cast<uint64_t>(seg)));
+    const auto batches = trainer.train_sampler().EpochBatches(kBatch, &order);
+    stwa::data::Batch batch;
+    std::vector<double> step_s;
+    bool captured = false;
+    const double t_end = NowSeconds() + segment_s;
+    for (size_t i = 0; i < batches.size(); ++i) {
+      if (batches[i].size() != static_cast<size_t>(kBatch)) continue;
+      trainer.train_sampler().MakeBatchInto(batches[i], &batch);
+      const double t0 = NowSeconds();
+      const float loss = engine.Step(batch);
+      if (captured) step_s.push_back(Seconds(t0));  // the first step captures
+      captured = true;
+      ++rates.steps;
+      if (!std::isfinite(loss)) ++rates.nonfinite_losses;
+      if (step_s.size() >= 5 && NowSeconds() > t_end) break;
+    }
+    engine.EvaluateOn(val, trainer.scaler(), kBatch);  // captures eval plans
+    std::vector<double> pass_s;
+    const double e_end = NowSeconds() + segment_s;
+    do {
+      const double t0 = NowSeconds();
+      engine.EvaluateOn(val, trainer.scaler(), kBatch);
+      pass_s.push_back(Seconds(t0));
+    } while (NowSeconds() < e_end);
+    const double step_p50 = Median(step_s);
+    const double pass_p50 = Median(pass_s);
+    rates.train_samples_per_s += kBatch / step_p50 / segments;
+    rates.eval_samples_per_s +=
+        static_cast<double>(val.num_samples()) / pass_p50 / segments;
+    std::printf("  fine-tune segment %d: %zu steps, step p50 %.3f ms; "
+                "%zu validation passes, pass p50 %.3f ms\n",
+                seg, step_s.size(), step_p50 * 1e3, pass_s.size(),
+                pass_p50 * 1e3);
+  }
   return rates;
 }
 
@@ -351,7 +366,7 @@ Report RunTraining(const Options& options) {
              "ratio");
   report.Add("train_samples_per_s", Median(train_rates), "samples/s");
   report.Add("eval_samples_per_s", Median(eval_rates), "samples/s");
-  report.Add("peak_rss_mb", SelfPeakRssMb(), "MiB");
+  report.Add("peak_rss_mb", PeakRssMb("self"), "MiB");
   return report;
 }
 

@@ -52,7 +52,8 @@ stwa::data::TrafficDataset ServingDataset(const ServingSpec& spec,
                                           uint64_t seed, int64_t steps);
 
 /// Training and forward-only throughput of one model on one dataset at
-/// batch 8, through train::StepEngine (the engine behind Trainer::Fit).
+/// batch 8, through train::StepEngine (the engine behind Trainer::Fit):
+/// the mean over `segments` fresh engines, `budget_s` in all.
 struct TrainRates {
   double train_samples_per_s = 0.0;
   double eval_samples_per_s = 0.0;
@@ -61,7 +62,7 @@ struct TrainRates {
 };
 TrainRates MeasureTrainRates(const stwa::data::TrafficDataset& dataset,
                              const stwa::baselines::ModelSettings& settings,
-                             uint64_t seed, double budget_s);
+                             uint64_t seed, int segments, double budget_s);
 
 /// Per-layer probes of one model: session, pool, ir (forward plan), core
 /// modules, simd GEMM shapes, runtime. `ckpt` is a serving checkpoint of

@@ -2,6 +2,7 @@
 #include <cmath>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -167,34 +168,61 @@ TEST(Ladder, FindsTheHighestPassingStep) {
   }
   for (int start : {0, 20, expected, expected + 1, 60, 80}) {
     int probes = 0;
-    const int found = FindMaxPassing(ladder, start, 100, [&](int i) {
-      ++probes;
-      return curve.p99(ladder.Rate(i)) <= limit_ms;
-    });
+    const std::optional<int> found =
+        FindMaxPassing(ladder, start, 100, [&](int i) {
+          ++probes;
+          return curve.p99(ladder.Rate(i)) <= limit_ms;
+        });
     EXPECT_EQ(found, expected) << "start " << start;
-    EXPECT_LE(probes, std::abs(start - expected) + 2);
+    // Gallop plus bisection: logarithmic in the distance to the answer.
+    const int distance = std::abs(start - expected);
+    const int log_distance =
+        static_cast<int>(std::ceil(std::log2(distance + 1)));
+    EXPECT_LE(probes, 2 * log_distance + 2) << "start " << start;
   }
   EXPECT_LE(ladder.Rate(expected + 1) / ladder.Rate(expected), 1.05);
 }
 
 TEST(Ladder, NoPassingStep) {
   const Ladder ladder{100.0, 1.04, 0, 10};
-  EXPECT_EQ(FindMaxPassing(ladder, 5, 100, [](int) { return false; }), -1);
+  EXPECT_EQ(FindMaxPassing(ladder, 5, 100, [](int) { return false; }),
+            std::nullopt);
   EXPECT_EQ(FindMaxPassing(ladder, 5, 100, [](int) { return true; }), 10);
 }
 
-TEST(Ladder, ProbeCapBoundsTheWalk) {
+TEST(Ladder, ReachesFarFromTheStartWithinTheCap) {
+  // Capacity halved (or doubled) relative to the start rung: 18 rungs away
+  // on a 4 % ladder. Twelve probes still find the exact rung.
+  const Ladder ladder{100.0, 1.04, 0, 80};
+  for (const int expected : {22, 58}) {
+    int probes = 0;
+    EXPECT_EQ(FindMaxPassing(ladder, 40, 12, [&](int i) {
+                ++probes;
+                return i <= expected;
+              }),
+              expected);
+    EXPECT_LE(probes, 12);
+  }
+}
+
+TEST(Ladder, CapNeverReportsAnUnprobedRung) {
   const Ladder ladder{100.0, 1.04, 0, 80};
   std::vector<int> probed;
-  // Nothing passes: six probes from 40 walk down to 35; 34 is reported.
-  EXPECT_EQ(FindMaxPassing(ladder, 40, 6, [&](int i) {
+  // Nothing passes: the walk runs out of probes and reports no rate.
+  EXPECT_EQ(FindMaxPassing(ladder, 40, 3, [&](int i) {
               probed.push_back(i);
               return false;
             }),
-            34);
-  EXPECT_EQ(probed, (std::vector<int>{40, 39, 38, 37, 36, 35}));
-  // Everything passes: the walk stops after six probes, at 45.
-  EXPECT_EQ(FindMaxPassing(ladder, 40, 6, [](int) { return true; }), 45);
+            std::nullopt);
+  EXPECT_EQ(probed, (std::vector<int>{40, 39, 37}));
+  // Everything passes: the highest rung probed before the cap.
+  probed.clear();
+  EXPECT_EQ(FindMaxPassing(ladder, 40, 4, [&](int i) {
+              probed.push_back(i);
+              return true;
+            }),
+            47);
+  EXPECT_EQ(probed, (std::vector<int>{40, 41, 43, 47}));
 }
 
 }  // namespace
