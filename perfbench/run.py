@@ -17,7 +17,7 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-WORKLOADS = ("dashboard_small", "pems08_city", "train_pems08")
+WORKLOADS = ("dashboard_small", "train_pems08")
 
 
 def build(build_dir, targets):

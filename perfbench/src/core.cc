@@ -123,7 +123,7 @@ const ServingSpec& DashboardSmall() {
     s.forecasts_per_step = 1000;
     s.repeats = 4;
     s.forecasts_per_probe = 3000;
-    s.finetune_segments = 9;
+    s.finetune_segments = 25;
     return s;
   }();
   return spec;

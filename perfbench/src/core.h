@@ -107,11 +107,13 @@ struct ServingSpec {
   int64_t forecasts_per_probe = 1000;
   /// Batch of the core-module and GEMM probes (serving answers B=1).
   int64_t probe_batch = 1;
-  /// Fresh engines the fine-tune throughput probe averages over.
+  /// Fresh engines the fine-tune throughput probe runs in turn.
   int finetune_segments = 5;
 };
 
 const ServingSpec& DashboardSmall();
+/// The PEMS08-scale serving profile (one new row per forecast). No longer
+/// a workload of its own: train_pems08's traced run serves its pattern.
 const ServingSpec& Pems08City();
 
 /// One scheduled client operation.

@@ -12,10 +12,10 @@ namespace perfbench {
 
 /// OpKinds reported as ir.op.<kind>.self_us (forward plan) and
 /// ir.train_op.<kind>.self_us (train plan): the twelve with the largest
-/// self time on pems08_city (forward) and on train_pems08 (train) at the
-/// seed commit. The
-/// lists are fixed so every run reports the same metric names; a kind a
-/// plan does not contain reports 0.
+/// self time on the former pems08_city workload (forward) and on
+/// train_pems08 (train) at the seed commit. The lists are fixed so every
+/// run reports the same metric names; a kind a plan does not contain
+/// reports 0.
 extern const char* const kForwardOpKinds[];
 extern const size_t kNumForwardOpKinds;
 extern const char* const kTrainOpKinds[];

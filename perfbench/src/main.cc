@@ -1,6 +1,6 @@
 // stwa_perfbench: the repository's benchmark driver.
 //
-//   stwa_perfbench --workload <dashboard_small|pems08_city|train_pems08>
+//   stwa_perfbench --workload <dashboard_small|train_pems08>
 //                  --seed <n> --seconds <s> --trace <0|1>
 //                  --fleet-binary <path to stwa_fleet> [--commit <id>]
 //
@@ -71,8 +71,6 @@ int main(int argc, char** argv) {
     perfbench::Report report;
     if (options.workload == "dashboard_small") {
       report = perfbench::RunServing(perfbench::DashboardSmall(), options);
-    } else if (options.workload == "pems08_city") {
-      report = perfbench::RunServing(perfbench::Pems08City(), options);
     } else if (options.workload == "train_pems08") {
       report = perfbench::RunTraining(options);
     } else {

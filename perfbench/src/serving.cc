@@ -1,8 +1,9 @@
-// Serving workloads: dashboard_small and pems08_city.
+// The serving workload, dashboard_small, and the serving part of every
+// traced run.
 //
 // Untraced run (the end-to-end numbers): stwa_fleet --port as a child
 // process, driven over loopback TCP by the open-loop generator at the
-// fixed light and heavy rates, then up the max_rate_rps ladder.
+// fixed light rate, then up the max_rate_rps ladder.
 //
 // Traced run (the per-layer numbers): the same seeded schedule at the
 // light rate over TCP and against an in-process FleetNode through
@@ -579,35 +580,29 @@ void Untraced(const ServingSpec& spec, const Options& options,
   std::printf("  setup          %.4fs (median of %d spawns, %.1fs in all)\n",
               setup_s, kSetupReps, NowSeconds() - spawns_t0);
 
-  // Each fixed rate runs as spec.repeats steps, light and heavy
-  // alternating so both sample the whole run's conditions; each rate's
-  // p50 and p99 come from the pooled forecasts of its steps. Together they
-  // take 60% of the budget (each step at least the spec's floor of
-  // forecasts); the ladder and the fine-tune probe use the rest.
-  const double share = options.seconds * 0.3 / spec.repeats;
+  // The light rate runs as spec.repeats steps that together take 40% of
+  // the budget (each at least the spec's floor of forecasts);
+  // latency_ms_light is the median of their pooled forecasts. The ladder
+  // and the fine-tune probe use the rest. Latency at the heavy rate and
+  // tail latency are reported by the traced run: over a shared host they
+  // move by more than any bound between runs of the same code.
+  const double share = options.seconds * 0.4 / spec.repeats;
   // Fixed-rate failures include their mismatches; a ladder probe may fail
   // its limits, but a wrong answer there is still a failure.
   int64_t attempted = 0, failed = 0, mismatches = 0, probe_mismatches = 0;
-  std::vector<double> light_ms, heavy_ms;
+  std::vector<double> light_ms;
   for (int k = 0; k < spec.repeats; ++k) {
-    for (const bool heavy : {false, true}) {
-      const double rate = heavy ? spec.heavy_rps : spec.light_rps;
-      const StepResult r = TcpStep(
-          run, target, rate,
-          StepForecasts(spec.forecasts_per_step, rate, share),
-          (heavy ? 20 : 10) + static_cast<uint64_t>(k));
-      PrintStep(heavy ? "heavy" : "light", r);
-      attempted += r.attempted;
-      failed += r.failed;
-      mismatches += r.mismatches;
-      std::vector<double>& pool = heavy ? heavy_ms : light_ms;
-      pool.insert(pool.end(), r.latency_ms.begin(), r.latency_ms.end());
-    }
+    const StepResult r = TcpStep(
+        run, target, spec.light_rps,
+        StepForecasts(spec.forecasts_per_step, spec.light_rps, share),
+        10 + static_cast<uint64_t>(k));
+    PrintStep("light", r);
+    attempted += r.attempted;
+    failed += r.failed;
+    mismatches += r.mismatches;
+    light_ms.insert(light_ms.end(), r.latency_ms.begin(), r.latency_ms.end());
   }
   const double light_p50 = Percentile(light_ms, 5000).value_or(INFINITY);
-  const double light_p99 = Percentile(light_ms, 9900).value_or(INFINITY);
-  const double heavy_p50 = Percentile(heavy_ms, 5000).value_or(INFINITY);
-  const double heavy_p99 = Percentile(heavy_ms, 9900).value_or(INFINITY);
   uint64_t label = 100;
   const std::optional<int> best = FindMaxPassing(
       spec.ladder, spec.ladder.Nearest(spec.ladder_start_rps), kMaxProbes,
@@ -633,9 +628,6 @@ void Untraced(const ServingSpec& spec, const Options& options,
     ++report->failed;
   }
   const double max_rate = best ? spec.ladder.Rate(*best) : 0.0;
-  const double ok_frac =
-      1.0 - static_cast<double>(report->failed) /
-                static_cast<double>(std::max<int64_t>(1, report->attempted));
 
   // Online fine-tuning throughput of the served model geometry.
   const stwa::data::TrafficDataset traffic =
@@ -643,17 +635,17 @@ void Untraced(const ServingSpec& spec, const Options& options,
   const TrainRates rates =
       MeasureTrainRates(traffic, ServingSettings(spec), options.seed,
                         spec.finetune_segments,
-                        std::min(4.0, options.seconds / 7.5));
+                        std::min(8.0, options.seconds / 5.0));
   report->attempted += rates.steps;
   report->failed += rates.nonfinite_losses;
+  const double ok_frac =
+      1.0 - static_cast<double>(report->failed) /
+                static_cast<double>(std::max<int64_t>(1, report->attempted));
   std::printf("  host steal during the run: %.1f%% of the CPU\n",
               100.0 * steal.Share());
 
   report->Add("setup_s", setup_s, "s");
-  report->Add("p50_ms_light", light_p50, "ms");
-  report->Add("p99_ms_light", light_p99, "ms");
-  report->Add("p50_ms_heavy", heavy_p50, "ms");
-  report->Add("p99_ms_heavy", heavy_p99, "ms");
+  report->Add("latency_ms_light", light_p50, "ms");
   report->Add("max_rate_rps", max_rate, "req/s");
   report->Add("ok_frac", ok_frac, "ratio");
   report->Add("train_samples_per_s", rates.train_samples_per_s, "samples/s");
@@ -784,6 +776,9 @@ void TraceServingLayers(const ServingSpec& spec, const Options& options,
   report->Add("loadgen.lag_p99_ms", tcp.lag_p99_ms, "ms");
   report->Add("loadgen.backlog_max", static_cast<double>(tcp.backlog_max),
               "count");
+  report->Add("loadgen.p99_ms_light", tcp.p99_ms, "ms");
+  report->Add("loadgen.p50_ms_heavy", heavy.step.p50_ms, "ms");
+  report->Add("loadgen.p99_ms_heavy", heavy.step.p99_ms, "ms");
   report->Add("transport.gap_p50_ms", tcp.p50_ms - plain.p50_ms, "ms");
   report->Add("transport.delayed_ack_p50_ms", delayed_ack.p50_ms - tcp.p50_ms,
               "ms");

@@ -14,6 +14,7 @@
 #include "ir/plan.h"
 #include "layers.h"
 #include "optim/optimizer.h"
+#include "runtime/parallel.h"
 #include "train/step_engine.h"
 #include "train/trainer.h"
 #include "workloads.h"
@@ -27,25 +28,48 @@ namespace {
 constexpr int64_t kBatch = 8;
 constexpr int64_t kHistory = 12;
 
-/// Training cycles per run, and optimizer steps per cycle after the
-/// capturing one. Fixed, so the validation MAE after a cycle depends only
-/// on the seed, and the pooled step and batch latencies always hold at
-/// least 1000 samples (p99 with ten beyond it).
-constexpr int kCycles = 6;
-constexpr int64_t kStepsPerCycle = 250;
+/// Training cycles per run, each on a fresh set-up: as many as --seconds
+/// allows, at least kMinCycles. Optimizer steps per cycle after the
+/// capturing one are fixed, so the validation MAE after a cycle depends
+/// only on the seed and the cycle. Many short cycles rather than a few long
+/// ones, so that setup_s is a median of many set-ups spread over the run.
+constexpr int kMinCycles = 10;
+constexpr int64_t kStepsPerCycle = 100;
 /// Validation passes per cycle (the first scores MAE, all are timed).
-constexpr int kEvalPasses = 4;
+constexpr int kEvalPasses = 1;
 /// B=1 forward calls per cycle for the single-window rate.
-constexpr int kSingleReps = 300;
+constexpr int kSingleReps = 120;
 
-/// Validation MAE (flow units) a cycle reaches on the PEMS08-like dataset
-/// at the seed commit, and the tolerance every run must stay within. The
-/// batch order follows --seed, so the MAE varies a little by seed; a
-/// broken kernel, gradient or optimizer moves it far more.
-constexpr double kReferenceMae = 22.7;
-constexpr double kMaeTolerance = 4.5;
+/// Validation MAE (flow units) after a cycle, averaged over the run's
+/// cycles, on the PEMS08-like dataset at the seed commit, and the
+/// tolerance every run must stay within. The batch order follows --seed
+/// and the cycle, so one cycle's MAE varies by several units (25.7-34.0
+/// over two seeds); the run means of 10-37 cycles spread 27.4-28.9 over 41
+/// runs. A broken kernel, gradient or optimizer moves it far more.
+constexpr double kReferenceMae = 28.0;
+constexpr double kMaeTolerance = 2.0;
 
 double Seconds(double t0) { return NowSeconds() - t0; }
+
+/// 90th percentile of a sample of operation times. The host alternates, in
+/// stretches of a tenth of a second to minutes, between a slow mode and one
+/// about 1.6 times faster; a run may spend anywhere from none to four fifths
+/// of its time in the fast one. The median and the mean follow that share
+/// and spread 10-24 % between runs of the same code, the upper quartile up
+/// to 17 %; the 90th percentile stays in the slow mode unless the fast one
+/// holds nine tenths of the run.
+double P90(const std::vector<double>& v) {
+  return Percentile(v, 9000).value_or(INFINITY);
+}
+
+/// Prints percentiles of a sample of operation times (seconds) in ms.
+void PrintTimes(const char* what, const std::vector<double>& v) {
+  std::printf("  %-18s n=%zu p25 %.4f ms, p50 %.4f ms, p75 %.4f ms, "
+              "p90 %.4f ms\n",
+              what, v.size(), Percentile(v, 2500).value_or(NAN) * 1e3,
+              Median(v) * 1e3, Percentile(v, 7500).value_or(NAN) * 1e3,
+              P90(v) * 1e3);
+}
 
 stwa::train::TrainConfig Config() {
   stwa::train::TrainConfig c;
@@ -183,52 +207,53 @@ stwa::data::TrafficDataset ServingDataset(const ServingSpec& spec,
 TrainRates MeasureTrainRates(const stwa::data::TrafficDataset& dataset,
                              const stwa::baselines::ModelSettings& settings,
                              uint64_t seed, int segments, double budget_s) {
-  // Each segment runs a fresh model and engine: one engine's median step
-  // can sit 50 % off another's, in two modes, so a single engine would set
-  // a run's rate by chance. Each rate is the mean over the segments of the
-  // rate at the segment's median step or pass time.
+  // Each segment runs a fresh model and engine for at most one epoch.
+  // Serial kernels, as in the training workload's untraced run.
+  const stwa::runtime::ScopedSerialRegion serial;
   const double segment_s = budget_s / (2 * segments);
   TrainRates rates;
   stwa::train::Trainer trainer(dataset, kHistory, settings.horizon, Config());
   const auto& val = trainer.val_sampler();
+  const auto val_batches = val.EpochBatches(kBatch, nullptr);
+  std::vector<double> step_s, batch_s;
   for (int seg = 0; seg < segments; ++seg) {
     auto model = stwa::baselines::MakeModel("ST-WA", dataset, settings);
     stwa::train::StepEngine engine(*model, stwa::train::StepEngineConfig());
     stwa::Rng order(SubSeed(seed, 0x7a2, static_cast<uint64_t>(seg)));
     const auto batches = trainer.train_sampler().EpochBatches(kBatch, &order);
     stwa::data::Batch batch;
-    std::vector<double> step_s;
     bool captured = false;
+    int timed = 0;
     const double t_end = NowSeconds() + segment_s;
     for (size_t i = 0; i < batches.size(); ++i) {
       if (batches[i].size() != static_cast<size_t>(kBatch)) continue;
-      trainer.train_sampler().MakeBatchInto(batches[i], &batch);
       const double t0 = NowSeconds();
+      trainer.train_sampler().MakeBatchInto(batches[i], &batch);
       const float loss = engine.Step(batch);
-      if (captured) step_s.push_back(Seconds(t0));  // the first step captures
+      if (captured) {  // the first step captures
+        step_s.push_back(Seconds(t0));
+        ++timed;
+      }
       captured = true;
       ++rates.steps;
       if (!std::isfinite(loss)) ++rates.nonfinite_losses;
-      if (step_s.size() >= 5 && NowSeconds() > t_end) break;
+      if (timed >= 5 && NowSeconds() > t_end) break;
     }
+    // Forward-only validation batches, as the training workload times them.
     engine.EvaluateOn(val, trainer.scaler(), kBatch);  // captures eval plans
-    std::vector<double> pass_s;
     const double e_end = NowSeconds() + segment_s;
-    do {
+    for (size_t i = 0; NowSeconds() < e_end; i = (i + 1) % val_batches.size()) {
+      if (val_batches[i].size() != static_cast<size_t>(kBatch)) continue;
       const double t0 = NowSeconds();
-      engine.EvaluateOn(val, trainer.scaler(), kBatch);
-      pass_s.push_back(Seconds(t0));
-    } while (NowSeconds() < e_end);
-    const double step_p50 = Median(step_s);
-    const double pass_p50 = Median(pass_s);
-    rates.train_samples_per_s += kBatch / step_p50 / segments;
-    rates.eval_samples_per_s +=
-        static_cast<double>(val.num_samples()) / pass_p50 / segments;
-    std::printf("  fine-tune segment %d: %zu steps, step p50 %.3f ms; "
-                "%zu validation passes, pass p50 %.3f ms\n",
-                seg, step_s.size(), step_p50 * 1e3, pass_s.size(),
-                pass_p50 * 1e3);
+      val.MakeBatchInto(val_batches[i], &batch);
+      engine.Predict(batch.x);
+      batch_s.push_back(Seconds(t0));
+    }
   }
+  PrintTimes("fine-tune step", step_s);
+  PrintTimes("validation batch", batch_s);
+  rates.train_samples_per_s = kBatch / P90(step_s);
+  rates.eval_samples_per_s = kBatch / P90(batch_s);
   return rates;
 }
 
@@ -243,129 +268,129 @@ Report RunTraining(const Options& options) {
                      TrainSettings(), options.seed, &report);
     return report;
   }
-  struct Cycle {
-    double setup_s = 0.0;
-    double train_rate = 0.0;
-    double eval_rate = 0.0;
-    std::vector<double> step_ms, batch_ms, single_ms;
-  };
-  // One training cycle; every attempt's steps and checks count.
-  auto run_cycle = [&](int cycle) {
-    Cycle c;
-    // Set-up: dataset, split and scaler, model, first (capturing) step.
-    const double t0 = NowSeconds();
-    const stwa::data::TrafficDataset dataset =
-        stwa::data::GenerateTraffic(stwa::data::Pems08Profile());
-    stwa::train::Trainer trainer(dataset, kHistory, TrainSettings().horizon,
-                                 Config());
-    auto model = stwa::baselines::MakeModel("ST-WA", dataset, TrainSettings());
-    stwa::train::StepEngine engine(*model, stwa::train::StepEngineConfig());
-    stwa::Rng order(
-        SubSeed(options.seed, 0x7a1, static_cast<uint64_t>(cycle)));
+  // One rig per cycle: dataset, split and scaler, model, engine and the
+  // first (capturing) step, timed as setup_s. The set-ups interleave with
+  // the cycles, so both sample the whole run's conditions.
+  struct Rig {
+    stwa::data::TrafficDataset dataset;
+    std::unique_ptr<stwa::train::Trainer> trainer;
+    std::unique_ptr<stwa::train::ForecastModel> model;
+    std::unique_ptr<stwa::train::StepEngine> engine;
     std::vector<std::vector<int64_t>> batches;
-    while (static_cast<int64_t>(batches.size()) <= kStepsPerCycle) {
-      for (auto& b : trainer.train_sampler().EpochBatches(kBatch, &order)) {
-        if (b.size() == static_cast<size_t>(kBatch)) batches.push_back(b);
+    stwa::data::Batch batch;
+  };
+  auto make_rig = [&](int cycle) {
+    auto rig = std::make_unique<Rig>();
+    rig->dataset = stwa::data::GenerateTraffic(stwa::data::Pems08Profile());
+    rig->trainer = std::make_unique<stwa::train::Trainer>(
+        rig->dataset, kHistory, TrainSettings().horizon, Config());
+    rig->model =
+        stwa::baselines::MakeModel("ST-WA", rig->dataset, TrainSettings());
+    rig->engine = std::make_unique<stwa::train::StepEngine>(
+        *rig->model, stwa::train::StepEngineConfig());
+    stwa::Rng order(SubSeed(options.seed, 0x7a1, static_cast<uint64_t>(cycle)));
+    while (static_cast<int64_t>(rig->batches.size()) <= kStepsPerCycle) {
+      for (auto& b : rig->trainer->train_sampler().EpochBatches(kBatch, &order)) {
+        if (b.size() == static_cast<size_t>(kBatch)) rig->batches.push_back(b);
       }
     }
-    stwa::data::Batch batch;
-    trainer.train_sampler().MakeBatchInto(batches[0], &batch);
-    float loss = engine.Step(batch);
+    rig->trainer->train_sampler().MakeBatchInto(rig->batches[0], &rig->batch);
+    const float loss = rig->engine->Step(rig->batch);
     ++report.attempted;
     if (!std::isfinite(loss)) ++report.failed;
-    c.setup_s = Seconds(t0);
+    return rig;
+  };
 
-    double steady_s = 0.0;
+  // Per-operation times, pooled over the cycles: training steps and
+  // validation batches (batch 8) and B=1 forwards.
+  std::vector<double> step_s, batch_s, single_s;
+  double mae_sum = 0.0;
+  auto run_cycle = [&](int cycle, Rig& rig) {
+    stwa::train::StepEngine& engine = *rig.engine;
+    const auto& sampler = rig.trainer->train_sampler();
+    float loss = 0.0f;
     for (int64_t i = 1; i <= kStepsPerCycle; ++i) {
-      const double s0 = NowSeconds();
-      trainer.train_sampler().MakeBatchInto(batches[static_cast<size_t>(i)],
-                                            &batch);
-      loss = engine.Step(batch);
-      const double dt = Seconds(s0);
-      steady_s += dt;
-      c.step_ms.push_back(dt * 1e3);
+      const double t0 = NowSeconds();
+      sampler.MakeBatchInto(rig.batches[static_cast<size_t>(i)], &rig.batch);
+      loss = engine.Step(rig.batch);
+      step_s.push_back(Seconds(t0));
       ++report.attempted;
       if (!std::isfinite(loss)) ++report.failed;
     }
-    c.train_rate = static_cast<double>(kStepsPerCycle * kBatch) / steady_s;
 
     // Forward-only validation, timed per batch through StepEngine::Predict
     // (what EvaluateOn runs per batch); the first pass scores MAE.
-    const auto& val = trainer.val_sampler();
-    const auto val_batches = val.EpochBatches(kBatch, nullptr);
+    const auto& val = rig.trainer->val_sampler();
     const stwa::metrics::ForecastMetrics scored =
-        engine.EvaluateOn(val, trainer.scaler(), kBatch);
-    ++report.attempted;
-    const bool mae_ok = std::isfinite(scored.mae) &&
-                        std::fabs(scored.mae - kReferenceMae) <= kMaeTolerance;
-    if (!mae_ok) {
-      ++report.failed;
-      report.correct = false;
-    }
-    std::printf("  cycle %d: setup %.3fs, %lld steps, final loss %.5f, "
-                "val MAE %.6f (%s)\n",
-                cycle, c.setup_s, static_cast<long long>(kStepsPerCycle),
-                static_cast<double>(loss), scored.mae,
-                mae_ok ? "ok" : "OUT OF TOLERANCE");
-    double eval_s = 0.0;
-    int64_t eval_samples = 0;
+        engine.EvaluateOn(val, rig.trainer->scaler(), kBatch);
+    mae_sum += scored.mae;
+    std::printf("  cycle %d: %lld steps, final loss %.5f, val MAE %.6f\n",
+                cycle, static_cast<long long>(kStepsPerCycle),
+                static_cast<double>(loss), scored.mae);
     stwa::data::Batch vb;
     for (int pass = 0; pass < kEvalPasses; ++pass) {
-      for (const auto& idx : val_batches) {
-        const double b0 = NowSeconds();
+      for (const auto& idx : val.EpochBatches(kBatch, nullptr)) {
+        if (idx.size() != static_cast<size_t>(kBatch)) continue;
+        const double t0 = NowSeconds();
         val.MakeBatchInto(idx, &vb);
         engine.Predict(vb.x);
-        const double dt = Seconds(b0);
-        eval_s += dt;
-        eval_samples += static_cast<int64_t>(idx.size());
-        c.batch_ms.push_back(dt * 1e3);
+        batch_s.push_back(Seconds(t0));
       }
     }
-    c.eval_rate = static_cast<double>(eval_samples) / eval_s;
 
-    // Single-window forward rate (B=1), the model's serial answer rate.
+    // Single-window forward (B=1), as a fleet shard worker answers it.
     stwa::data::Batch one;
     val.MakeBatchInto({0}, &one);
     engine.Predict(one.x);  // captures the B=1 plan
     for (int r = 0; r < kSingleReps; ++r) {
-      const double b0 = NowSeconds();
+      const double t0 = NowSeconds();
       engine.Predict(one.x);
-      c.single_ms.push_back(Seconds(b0) * 1e3);
+      single_s.push_back(Seconds(t0));
     }
-    return c;
   };
 
+  // Serial kernels throughout. On the 4-vCPU host the default four threads
+  // trained no faster at batch 8 (about 10 ms per step either way) but
+  // used 1.65 CPUs and drew host steal of up to 18 %, which tripled the
+  // median step time; one thread drew none.
+  const stwa::runtime::ScopedSerialRegion serial;
   const StealMeter steal;
-  std::vector<double> setups, train_rates, eval_rates, single_ms;
-  std::vector<double> step_ms, batch_ms;
-  for (int cycle = 0; cycle < kCycles; ++cycle) {
-    const Cycle c = run_cycle(cycle);
-    setups.push_back(c.setup_s);
-    train_rates.push_back(c.train_rate);
-    eval_rates.push_back(c.eval_rate);
-    step_ms.insert(step_ms.end(), c.step_ms.begin(), c.step_ms.end());
-    batch_ms.insert(batch_ms.end(), c.batch_ms.begin(), c.batch_ms.end());
-    single_ms.insert(single_ms.end(), c.single_ms.begin(),
-                     c.single_ms.end());
+  std::vector<double> setups;
+  const double t_end = NowSeconds() + options.seconds;
+  int cycles = 0;
+  for (int cycle = 0; cycle < kMinCycles || NowSeconds() < t_end; ++cycle) {
+    ++cycles;
+    const double t0 = NowSeconds();
+    std::unique_ptr<Rig> rig = make_rig(cycle);
+    setups.push_back(Seconds(t0));
+    run_cycle(cycle, *rig);
   }
   std::printf("  host steal during the run: %.1f%% of the CPU\n",
               100.0 * steal.Share());
+  const double mae = mae_sum / cycles;
+  ++report.attempted;
+  const bool mae_ok =
+      std::isfinite(mae) && std::fabs(mae - kReferenceMae) <= kMaeTolerance;
+  if (!mae_ok) {
+    ++report.failed;
+    report.correct = false;
+  }
+  std::printf("  validation MAE, mean of %d cycles: %.6f (%s)\n", cycles,
+              mae, mae_ok ? "ok" : "OUT OF TOLERANCE");
+  PrintTimes("training step", step_s);
+  PrintTimes("validation batch", batch_s);
+  PrintTimes("B=1 forward", single_s);
   report.Add("setup_s", Median(setups), "s");
-  report.Add("p50_ms_light", Percentile(batch_ms, 5000).value_or(INFINITY),
-             "ms");
-  report.Add("p99_ms_light", Percentile(batch_ms, 9900).value_or(INFINITY),
-             "ms");
-  report.Add("p50_ms_heavy", Percentile(step_ms, 5000).value_or(INFINITY),
-             "ms");
-  report.Add("p99_ms_heavy", Percentile(step_ms, 9900).value_or(INFINITY),
-             "ms");
-  report.Add("max_rate_rps", 1e3 / Median(single_ms), "req/s");
+  report.Add("latency_ms_light", P90(single_s) * 1e3, "ms");
+  report.Add("max_rate_rps", 1.0 / P90(single_s), "req/s");
   report.Add("ok_frac",
              1.0 - static_cast<double>(report.failed) /
                        static_cast<double>(report.attempted),
              "ratio");
-  report.Add("train_samples_per_s", Median(train_rates), "samples/s");
-  report.Add("eval_samples_per_s", Median(eval_rates), "samples/s");
+  report.Add("train_samples_per_s", kBatch / P90(step_s),
+             "samples/s");
+  report.Add("eval_samples_per_s", kBatch / P90(batch_s),
+             "samples/s");
   report.Add("peak_rss_mb", PeakRssMb("self"), "MiB");
   return report;
 }

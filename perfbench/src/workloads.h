@@ -26,7 +26,7 @@ struct Options {
   std::string commit = "unknown";
 };
 
-/// dashboard_small / pems08_city.
+/// dashboard_small.
 Report RunServing(const ServingSpec& spec, const Options& options);
 
 /// train_pems08.
@@ -52,8 +52,10 @@ stwa::data::TrafficDataset ServingDataset(const ServingSpec& spec,
                                           uint64_t seed, int64_t steps);
 
 /// Training and forward-only throughput of one model on one dataset at
-/// batch 8, through train::StepEngine (the engine behind Trainer::Fit):
-/// the mean over `segments` fresh engines, `budget_s` in all.
+/// batch 8, through train::StepEngine (the engine behind Trainer::Fit),
+/// with serial kernels: batch over the 90th percentile of the step or
+/// validation-batch times, pooled over `segments` fresh engines,
+/// `budget_s` in all.
 struct TrainRates {
   double train_samples_per_s = 0.0;
   double eval_samples_per_s = 0.0;

@@ -36,7 +36,7 @@ def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--out", required=True)
     parser.add_argument("--workloads",
-                        default="dashboard_small,pems08_city,train_pems08")
+                        default="dashboard_small,train_pems08")
     parser.add_argument("--seeds", type=seeds_arg, default=seeds_arg("1-10"))
     parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
