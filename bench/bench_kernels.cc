@@ -15,11 +15,7 @@
 //     plan — wall time, tape nodes/bytes and pool traffic per step, plus
 //     the per-OpKind forward/backward profile. The plan summary and the
 //     traced-vs-replayed comparison also land in
-//     bench_out/BENCH_graph.json;
-//   * graph_fusion: the plan-rewrite A/B — eval-step executed-node counts
-//     with the fusion passes off vs on, fused-kernel replay timings, and a
-//     region-parallel thread sweep memcmp'd against the serial reference
-//     (lands in the BENCH_graph.json "graph_fusion" section).
+//     bench_out/BENCH_graph.json.
 //
 // Thread counts swept: 1, 2, 4 and the runtime default (deduplicated).
 // Each measurement is the best of several repetitions, so transient noise
@@ -30,15 +26,12 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "autograd/no_grad.h"
 #include "autograd/ops.h"
 #include "baselines/registry.h"
 #include "bench_util.h"
@@ -380,11 +373,8 @@ void BenchTrainStep(std::vector<Measurement>* results) {
 /// tape nodes/bytes and buffer-pool traffic per step. With profiling
 /// enabled, the replay also yields a per-OpKind forward/backward cost
 /// table. Emits `graph_*` measurements into BENCH_kernels.json and the
-/// full plan summary + per-op table into bench_out/BENCH_graph.json;
-/// `fusion_json` (from BenchGraphFusion) is embedded as the file's
-/// "graph_fusion" section.
-void BenchGraphPlan(std::vector<Measurement>* results,
-                    const std::string& fusion_json) {
+/// full plan summary + per-op table into bench_out/BENCH_graph.json.
+void BenchGraphPlan(std::vector<Measurement>* results) {
   data::GeneratorOptions gen;
   gen.name = "quickstart";
   gen.num_roads = 4;
@@ -534,7 +524,7 @@ void BenchGraphPlan(std::vector<Measurement>* results,
       << ", \"heap_allocs\": " << replay_m.heap_allocs << "},\n"
       << "  \"replay_speedup\": " << traced_m.seconds / replay_m.seconds
       << ",\n  \"profile_replays\": " << profile_reps
-      << ",\n  \"graph_fusion\": " << fusion_json << ",\n  \"ops\": [\n";
+      << ",\n  \"ops\": [\n";
   for (size_t i = 0; i < profile.size(); ++i) {
     const ir::OpProfile& p = profile[i];
     out << "    {\"name\": \"" << p.name
@@ -549,176 +539,6 @@ void BenchGraphPlan(std::vector<Measurement>* results,
   }
   out << "  ]\n}\n";
   std::cout << "wrote " << path << "\n";
-}
-
-/// Fusion + region-parallelism A/B on the quickstart ST-WA eval step.
-/// Captures the forward-only plan with the fusion passes off and on,
-/// reports the executed-node reduction and which fuser patterns fired,
-/// times the serial fused-vs-unfused replays, and sweeps the
-/// region-parallel replay across thread counts, memcmp-ing every output
-/// against the serial single-thread reference (deterministic-join
-/// evidence: the bit_mismatches count must be 0). Also captures the
-/// training step to report its fused-node counts honestly — train
-/// subgraphs carry gradients, so the rewriter typically leaves them
-/// untouched. Returns the "graph_fusion" JSON object for BENCH_graph.json.
-std::string BenchGraphFusion(std::vector<Measurement>* results) {
-  data::GeneratorOptions gen;
-  gen.name = "quickstart";
-  gen.num_roads = 4;
-  gen.sensors_per_road = 4;
-  gen.num_days = SmokeMode() ? 4 : 10;
-  gen.steps_per_day = 144;
-  gen.seed = 2024;
-  data::TrafficDataset dataset = data::GenerateTraffic(gen);
-
-  baselines::ModelSettings settings;
-  settings.history = 12;
-  settings.horizon = 12;
-  settings.d_model = 16;
-  settings.window_sizes = {3, 2, 2};
-  settings.latent_dim = 8;
-  settings.predictor_hidden = 64;
-
-  train::TrainConfig config;
-  config.epochs = 1;
-  config.batch_size = 8;
-
-  auto model = baselines::MakeModel("ST-WA", dataset, settings);
-  train::Trainer trainer(dataset, settings.history, settings.horizon,
-                         config);
-  const data::WindowSampler& sampler = trainer.train_sampler();
-  auto batches = sampler.EpochBatches(config.batch_size, nullptr);
-  data::Batch batch;
-  sampler.MakeBatchInto(batches[0], &batch);
-
-  auto capture_eval = [&]() -> std::unique_ptr<ir::ExecutionPlan> {
-    ag::NoGradMode no_grad;
-    ir::GraphCapture capture;
-    ag::Var pred = model->Forward(batch.x, /*training=*/false);
-    return capture.Finish(pred, {batch.x}, /*with_backward=*/false);
-  };
-
-  // Serial plans (region-parallel off) isolate the fusion delta; the
-  // region-parallel plan is captured separately for the thread sweep.
-  ir::SetRegionParMode(false);
-  ir::SetFuseMode(false);
-  auto unfused = capture_eval();
-  ir::SetFuseMode(true);
-  auto fused = capture_eval();
-  ir::SetRegionParMode(true);
-  auto fused_par = capture_eval();
-
-  // Honest train-plan numbers: the same rewrite passes run on the training
-  // capture, but only gradient-free subgraphs are legal to fuse there.
-  std::unique_ptr<ir::ExecutionPlan> train_plan;
-  {
-    std::vector<ag::Var> params = model->Parameters();
-    for (ag::Var& p : params) p.ZeroGrad();
-    ir::GraphCapture capture;
-    ag::Var pred = model->Forward(batch.x, /*training=*/true);
-    ag::Var loss = ag::HuberLoss(pred, ag::Var(batch.y), 1.0f);
-    ag::Var reg = model->RegularizationLoss();
-    if (reg.defined()) loss = ag::Add(loss, reg);
-    loss.Backward();
-    train_plan = capture.Finish(loss, {batch.x, batch.y},
-                                /*with_backward=*/true);
-  }
-  ir::SetFuseMode(true);
-  ir::SetRegionParMode(true);
-  if (unfused == nullptr || fused == nullptr || fused_par == nullptr) {
-    std::cout << "graph_fusion: eval capture was unplannable, section "
-                 "skipped\n";
-    return "null";
-  }
-
-  const ir::PlanStats& us = unfused->stats();
-  const ir::PlanStats& fs = fused->stats();
-  const double reduction_pct =
-      us.forward_ops > 0
-          ? 100.0 * static_cast<double>(us.forward_ops - fs.forward_ops) /
-                static_cast<double>(us.forward_ops)
-          : 0.0;
-
-  const int reps = SmokeMode() ? 5 : 20;
-  runtime::SetNumThreads(1);
-  Measurement unfused_m{"graph_fusion_replay_unfused", us.forward_ops, 1,
-                        0.0, 0.0};
-  unfused_m.seconds =
-      TimeBest(reps, [&] { unfused->ReplayForward({batch.x}); });
-  results->push_back(unfused_m);
-  Measurement fused_m{"graph_fusion_replay_fused", fs.forward_ops, 1, 0.0,
-                      0.0};
-  fused_m.seconds = TimeBest(reps, [&] { fused->ReplayForward({batch.x}); });
-  results->push_back(fused_m);
-
-  // Thread sweep: serial single-thread output is the reference; both the
-  // serial and the region-parallel plans must reproduce it bit-for-bit at
-  // every thread count.
-  Tensor reference = unfused->ReplayForward({batch.x}).Clone();
-  int64_t mismatches = 0;
-  const std::array<int, 3> sweep = {1, 2, 4};
-  double par_seconds_4t = 0.0;
-  for (int threads : sweep) {
-    runtime::SetNumThreads(threads);
-    const Tensor serial = fused->ReplayForward({batch.x}).Clone();
-    const Tensor parallel = fused_par->ReplayForward({batch.x}).Clone();
-    for (const Tensor* t : {&serial, &parallel}) {
-      if (t->shape() != reference.shape() ||
-          std::memcmp(t->data(), reference.data(),
-                      sizeof(float) * reference.size()) != 0) {
-        ++mismatches;
-      }
-    }
-    if (threads == 4) {
-      par_seconds_4t =
-          TimeBest(reps, [&] { fused_par->ReplayForward({batch.x}); });
-      Measurement par_m{"graph_fusion_replay_region_par", fs.forward_ops, 4,
-                        par_seconds_4t, 0.0};
-      results->push_back(par_m);
-    }
-  }
-  runtime::SetNumThreads(0);
-
-  std::cout << "graph_fusion: eval " << us.forward_ops << " -> "
-            << fs.forward_ops << " fwd ops (" << FormatFloat(reduction_pct, 1)
-            << "% fewer; " << fs.fused_map_nodes << " fused_map, "
-            << fs.fused_attention_nodes << " fused_attention, "
-            << fs.fused_away_ops << " absorbed)\n"
-            << "  regions " << fs.regions << " in " << fs.region_stages
-            << " stages (max width " << fs.max_stage_width << ")\n"
-            << "  replay 1t: unfused " << unfused_m.seconds * 1e3
-            << " ms, fused " << fused_m.seconds * 1e3 << " ms ("
-            << unfused_m.seconds / fused_m.seconds << "x); region-par 4t "
-            << par_seconds_4t * 1e3 << " ms\n"
-            << "  thread sweep {1,2,4}: " << mismatches
-            << " bit mismatches vs serial reference\n";
-  if (train_plan != nullptr) {
-    std::cout << "  train plan: " << train_plan->stats().fused_map_nodes
-              << " fused_map, " << train_plan->stats().fused_attention_nodes
-              << " fused_attention (gradient subgraphs stay unfused)\n";
-  }
-
-  std::ostringstream json;
-  json << "{\"eval_forward_ops_unfused\": " << us.forward_ops
-       << ", \"eval_forward_ops_fused\": " << fs.forward_ops
-       << ", \"node_reduction_pct\": " << reduction_pct
-       << ", \"fused_map_nodes\": " << fs.fused_map_nodes
-       << ", \"fused_attention_nodes\": " << fs.fused_attention_nodes
-       << ", \"fused_away_ops\": " << fs.fused_away_ops
-       << ", \"regions\": " << fs.regions
-       << ", \"region_stages\": " << fs.region_stages
-       << ", \"max_stage_width\": " << fs.max_stage_width
-       << ", \"train_fused_map_nodes\": "
-       << (train_plan ? train_plan->stats().fused_map_nodes : 0)
-       << ", \"train_fused_attention_nodes\": "
-       << (train_plan ? train_plan->stats().fused_attention_nodes : 0)
-       << ", \"replay_seconds_unfused_1t\": " << unfused_m.seconds
-       << ", \"replay_seconds_fused_1t\": " << fused_m.seconds
-       << ", \"fusion_speedup\": " << unfused_m.seconds / fused_m.seconds
-       << ", \"region_par_seconds_4t\": " << par_seconds_4t
-       << ", \"thread_sweep\": [1, 2, 4]"
-       << ", \"bit_mismatches\": " << mismatches << "}";
-  return json.str();
 }
 
 void Run() {
@@ -794,8 +614,7 @@ void Run() {
 
   BenchGemm(rng, &results);
   BenchTrainStep(&results);
-  const std::string fusion_json = BenchGraphFusion(&results);
-  BenchGraphPlan(&results, fusion_json);
+  BenchGraphPlan(&results);
 
   // Headline number for the PR gate: 512x512 matmul speedup over 1 thread.
   double base512 = 0.0;

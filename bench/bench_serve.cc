@@ -10,8 +10,8 @@
 //     (fp32/bf16/int8) on a GEMM-heavier frozen ST-WA, with per-tier
 //     served-vs-offline bit checks;
 //   * tier_determinism — per tier, forecasts swept across {1,4} threads x
-//     {single, batched} x {rewrites on, off} must reproduce the ambient
-//     reference byte-for-byte (the intra-tier determinism contract);
+//     {single, batched} must reproduce the ambient reference byte-for-byte
+//     (the intra-tier determinism contract);
 //   * tier_accuracy — every registered Table IV model: MAE/RMSE vs ground
 //     truth per tier and the relative delta vs fp32. The run fails if
 //     int8 MAE drifts > 1% or bf16 > 0.1% relative, or any bit check
@@ -185,28 +185,6 @@ void Run() {
   std::cout << "plan on/off offline A/B: " << windows.size() << " windows, "
             << plan_ab_mismatches << " mismatches\n";
 
-  // Fusion A/B: same drill for the plan-rewrite passes. A session opened
-  // with fusion flipped must serve byte-identical forecasts — the fused
-  // kernels reuse the unfused per-element paths, so any divergence is a
-  // rewriter bug.
-  const bool fuse_was_enabled = ir::FuseModeEnabled();
-  int64_t fuse_ab_mismatches = 0;
-  {
-    ir::SetFuseMode(!fuse_was_enabled);
-    auto flipped = serve::InferenceSession::Open(ckpt);
-    for (size_t i = 0; i < windows.size(); ++i) {
-      Tensor got = flipped->Forecast(windows[i]);
-      if (std::memcmp(got.data(), expected[i].data(),
-                      sizeof(float) * static_cast<size_t>(
-                                          expected[i].size())) != 0) {
-        ++fuse_ab_mismatches;
-      }
-    }
-    ir::SetFuseMode(fuse_was_enabled);
-  }
-  std::cout << "fusion on/off offline A/B: " << windows.size()
-            << " windows, " << fuse_ab_mismatches << " mismatches\n";
-
   // One server load run: `requests` submissions over `wins`, every
   // response memcmp'd against `want` (the offline per-window reference for
   // the same session config).
@@ -296,8 +274,6 @@ void Run() {
   serve::SaveServingCheckpoint(*heavy_model, heavy_info, heavy_ckpt);
 
   const int64_t tier_requests = smoke ? 48 : 256;
-  const bool amb_fuse = ir::FuseModeEnabled();
-  const bool amb_rp = ir::RegionParModeEnabled();
   std::vector<ModeResult> tier_modes;
   std::vector<TierDeterminism> tier_det;
   std::cout << "\ntier serving (d_model=" << heavy.d_model << ", hidden="
@@ -325,8 +301,8 @@ void Run() {
               << ", p50 " << FormatFloat(m.p50 / 1000.0, 2)
               << "ms, served-vs-offline mismatches " << m.mismatches << "\n";
 
-    // Intra-tier determinism: {1,4} threads x {single, batched} x
-    // {rewrites on, off} must all reproduce the reference bytes.
+    // Intra-tier determinism: {1,4} threads x {single, batched} must all
+    // reproduce the reference bytes.
     const int64_t bs = 8;
     const int64_t sample =
         info.num_sensors * settings.history * info.num_features;
@@ -341,40 +317,34 @@ void Run() {
     det.precision = simd::PrecisionName(tier);
     for (const int threads : {1, 4}) {
       runtime::SetNumThreads(threads);
-      for (const bool rewrites : {true, false}) {
-        ir::SetFuseMode(rewrites);
-        ir::SetRegionParMode(rewrites);
-        auto s = serve::InferenceSession::Open(heavy_ckpt, cfg);
-        for (size_t i = 0; i < windows.size(); ++i) {
-          Tensor got = s->Forecast(windows[i]);
-          ++det.checks;
-          if (std::memcmp(got.data(), tier_expected[i].data(),
-                          sizeof(float) * static_cast<size_t>(
-                                              tier_expected[i].size())) !=
-              0) {
-            ++det.mismatches;
-          }
+      auto s = serve::InferenceSession::Open(heavy_ckpt, cfg);
+      for (size_t i = 0; i < windows.size(); ++i) {
+        Tensor got = s->Forecast(windows[i]);
+        ++det.checks;
+        if (std::memcmp(got.data(), tier_expected[i].data(),
+                        sizeof(float) * static_cast<size_t>(
+                                            tier_expected[i].size())) !=
+            0) {
+          ++det.mismatches;
         }
-        Tensor bout = s->Forecast(batched);
-        for (int64_t i = 0; i < bs; ++i) {
-          const Tensor& ref =
-              tier_expected[static_cast<size_t>(i % distinct_windows)];
-          ++det.checks;
-          if (std::memcmp(bout.data() + i * ref.size(), ref.data(),
-                          sizeof(float) * static_cast<size_t>(ref.size())) !=
-              0) {
-            ++det.mismatches;
-          }
+      }
+      Tensor bout = s->Forecast(batched);
+      for (int64_t i = 0; i < bs; ++i) {
+        const Tensor& ref =
+            tier_expected[static_cast<size_t>(i % distinct_windows)];
+        ++det.checks;
+        if (std::memcmp(bout.data() + i * ref.size(), ref.data(),
+                        sizeof(float) * static_cast<size_t>(ref.size())) !=
+            0) {
+          ++det.mismatches;
         }
       }
     }
-    ir::SetFuseMode(amb_fuse);
-    ir::SetRegionParMode(amb_rp);
     runtime::SetNumThreads(0);
     tier_det.push_back(det);
     std::cout << "  " << det.precision
               << " determinism sweep ({1,4}t x {1," << bs
-              << "}batch x rewrites on/off): " << det.checks << " checks, "
+              << "}batch): " << det.checks << " checks, "
               << det.mismatches << " bit mismatches\n";
   }
   const double bf16_vs_fp32 =
@@ -623,7 +593,6 @@ void Run() {
       << ",\n  \"horizon\": " << settings.horizon
       << ",\n  \"batched_vs_batch1_speedup\": " << speedup
       << ",\n  \"plan_ab_mismatches\": " << plan_ab_mismatches
-      << ",\n  \"fuse_ab_mismatches\": " << fuse_ab_mismatches
       << ",\n  \"modes\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
     const ModeResult& m = results[i];
@@ -702,10 +671,6 @@ void Run() {
     std::cerr << "ERROR: plan-replayed forecasts diverged from eager\n";
     std::exit(1);
   }
-  if (fuse_ab_mismatches > 0) {
-    std::cerr << "ERROR: fused-plan forecasts diverged from unfused\n";
-    std::exit(1);
-  }
   for (const ModeResult& m : tier_modes) {
     if (m.mismatches > 0) {
       std::cerr << "ERROR: " << m.name
@@ -718,7 +683,7 @@ void Run() {
     if (d.mismatches > 0) {
       std::cerr << "ERROR: " << d.precision
                 << " forecasts are not bit-identical across threads/"
-                   "batching/rewrites\n";
+                   "batching\n";
       std::exit(1);
     }
   }

@@ -1,6 +1,8 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
@@ -33,6 +35,24 @@ std::string FormatFloat(double value, int decimals) {
   oss.precision(decimals);
   oss << value;
   return oss.str();
+}
+
+bool ParseFloatToken(const std::string& token, float* out) {
+  char* end = nullptr;
+  *out = std::strtof(token.c_str(), &end);
+  return !token.empty() && *end == '\0' && std::isfinite(*out);
+}
+
+bool ParseIntToken(const std::string& token, int64_t* out) {
+  char* end = nullptr;
+  *out = std::strtoll(token.c_str(), &end, 10);
+  return !token.empty() && *end == '\0';
+}
+
+std::string FormatMicros(double micros) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.1f", micros);
+  return buf;
 }
 
 std::string GetEnvOr(const std::string& name, const std::string& fallback) {

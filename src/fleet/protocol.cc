@@ -1,7 +1,5 @@
 #include "fleet/protocol.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <vector>
 
@@ -12,24 +10,6 @@
 namespace stwa {
 namespace fleet {
 namespace {
-
-bool ParseFloatToken(const std::string& token, float* out) {
-  char* end = nullptr;
-  *out = std::strtof(token.c_str(), &end);
-  return end != nullptr && *end == '\0' && !token.empty();
-}
-
-bool ParseIntToken(const std::string& token, int64_t* out) {
-  char* end = nullptr;
-  *out = std::strtoll(token.c_str(), &end, 10);
-  return end != nullptr && *end == '\0' && !token.empty();
-}
-
-std::string FormatMicros(double micros) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.1f", micros);
-  return buf;
-}
 
 /// Parses tokens[first..] as observation values; empty optional + `err`
 /// set on a bad token.

@@ -77,14 +77,6 @@ enum class OpKind : uint8_t {
   kRandn,
   kDropoutMask,
 
-  // Fused super-ops, emitted only by the plan rewriter (ir/rewrite.cc) —
-  // eager tracing never constructs them. kFusedMap runs an elementwise
-  // chain (stage program in attrs.ints/scalars) in one pooled pass;
-  // kFusedAttention runs a matmul→scale→softmax→matmul quad without
-  // materialising the score tensor (scale in attrs.scalar).
-  kFusedMap,
-  kFusedAttention,
-
   kCount,
 };
 
@@ -99,8 +91,7 @@ const char* OpKindName(OpKind kind);
 /// which fields it reads (see ir/registry.cc).
 struct OpAttrs {
   /// kAddScalar / kMulScalar: the scalar. kHuberElem: delta.
-  /// kDropoutMask: keep-probability complement p. kFusedAttention: the
-  /// score scale.
+  /// kDropoutMask: keep-probability complement p.
   float scalar = 0.0f;
   /// kSum / kConcat / kSlice: the axis (already normalised to >= 0).
   int64_t axis = 0;
@@ -111,12 +102,8 @@ struct OpAttrs {
   bool keepdims = false;
   /// kReshape: target shape. kRandn / kDropoutMask: sample shape.
   Shape shape;
-  /// kPermute: axis order. kIndexSelect0: row indices. kFusedMap: the
-  /// stage program — 3 ints per stage {simd::FusedOp opcode, side slot
-  /// into parents[1..] (-1 for unary/scalar stages), swapped flag}.
+  /// kPermute: axis order. kIndexSelect0: row indices.
   std::vector<int64_t> ints;
-  /// kFusedMap: per-stage scalar operands (parallel to the stage program).
-  std::vector<float> scalars;
   /// kRandn / kDropoutMask: the generator drawn from at every (re)execution.
   /// Non-owning; the model owning the op outlives its plans.
   Rng* rng = nullptr;

@@ -9,8 +9,6 @@
 #include "common/string_util.h"
 #include "ir/capture.h"
 #include "ir/registry.h"
-#include "ir/rewrite.h"
-#include "runtime/parallel.h"
 #include "tensor/buffer_pool.h"
 
 namespace stwa {
@@ -24,10 +22,8 @@ int64_t ValueBytes(const Node* n) {
   return n->value.size() * static_cast<int64_t>(sizeof(float));
 }
 
-/// -1 unresolved, 0 disabled, 1 enabled (same lazy pattern for all gates).
+/// -1 unresolved, 0 disabled, 1 enabled.
 int g_plan_mode = -1;
-int g_fuse_mode = -1;
-int g_region_par_mode = -1;
 
 }  // namespace
 
@@ -40,39 +36,9 @@ bool PlanModeEnabled() {
 
 void SetPlanMode(bool enabled) { g_plan_mode = enabled ? 1 : 0; }
 
-bool FuseModeEnabled() {
-  if (g_fuse_mode < 0) {
-#ifdef STWA_NO_FUSE
-    g_fuse_mode = 0;  // compiled-in default for the -DSTWA_NO_FUSE=ON leg
-#else
-    g_fuse_mode = GetEnvIntOr("STWA_NO_FUSE", 0) != 0 ? 0 : 1;
-#endif
-  }
-  return g_fuse_mode == 1;
-}
-
-void SetFuseMode(bool enabled) { g_fuse_mode = enabled ? 1 : 0; }
-
-bool RegionParModeEnabled() {
-  if (g_region_par_mode < 0) {
-    g_region_par_mode = GetEnvIntOr("STWA_NO_REGION_PAR", 0) != 0 ? 0 : 1;
-  }
-  return g_region_par_mode == 1;
-}
-
-void SetRegionParMode(bool enabled) { g_region_par_mode = enabled ? 1 : 0; }
-
-PlanModes SnapshotPlanModes() {
-  return {PlanModeEnabled(), FuseModeEnabled(), RegionParModeEnabled()};
-}
-
 // --- GraphCapture ---------------------------------------------------------
 
-GraphCapture::GraphCapture() : GraphCapture(SnapshotPlanModes()) {}
-
-GraphCapture::GraphCapture(PlanModes modes) : modes_(modes) {
-  detail::BeginCapture();
-}
+GraphCapture::GraphCapture() { detail::BeginCapture(); }
 
 GraphCapture::~GraphCapture() {
   if (!finished_) detail::EndCapture();  // discard the recording
@@ -138,32 +104,7 @@ std::unique_ptr<ExecutionPlan> GraphCapture::Finish(
     }
   }
 
-  // Fusion rewrites (after the backward schedule is frozen: only nodes
-  // outside it are fusible, and rewriting never touches it). captured_nodes
-  // reports the pre-rewrite recording.
   plan->stats_.captured_nodes = static_cast<int64_t>(plan->nodes_.size());
-  if (modes_.fuse) {
-    const RewriteStats rw =
-        ApplyFusionPasses(plan->nodes_, plan->forward_, plan->root_.get());
-    plan->stats_.fused_map_nodes = rw.fused_map_nodes;
-    plan->stats_.fused_attention_nodes = rw.fused_attention_nodes;
-    plan->stats_.fused_away_ops = rw.fused_away_ops;
-  }
-
-  // Region partition of the rewritten schedule (always built — it feeds
-  // stats and the signature even when replays stay serial).
-  plan->regions_ = BuildRegionSchedule(plan->forward_);
-  plan->region_par_ = modes_.region_parallel;
-  plan->stage_regions_.assign(
-      static_cast<size_t>(plan->regions_.num_stages), {});
-  for (size_t r = 0; r < plan->regions_.regions.size(); ++r) {
-    plan->stage_regions_[static_cast<size_t>(plan->regions_.regions[r].stage)]
-        .push_back(static_cast<int64_t>(r));
-  }
-  plan->stats_.regions = static_cast<int64_t>(plan->regions_.regions.size());
-  plan->stats_.region_stages = plan->regions_.num_stages;
-  plan->stats_.max_stage_width = plan->regions_.max_stage_width;
-
   const int64_t F = static_cast<int64_t>(plan->forward_.size());
   const int64_t B = static_cast<int64_t>(plan->backward_.size());
   plan->release_after_forward_.assign(plan->forward_.size(), {});
@@ -172,10 +113,8 @@ std::unique_ptr<ExecutionPlan> GraphCapture::Finish(
   // --- Liveness: last step at which each op node's buffers are read. ----
   // Timeline: forward steps [0, F), then backward steps [F, F+B).
   std::unordered_map<Node*, int64_t> last_use;
-  std::unordered_map<Node*, int64_t> forward_step;
   for (int64_t i = 0; i < F; ++i) {
     Node* n = plan->forward_[i];
-    forward_step[n] = i;
     last_use[n] = i;  // produced here
     for (const NodePtr& p : n->parents) {
       auto it = last_use.find(p.get());
@@ -211,44 +150,6 @@ std::unique_ptr<ExecutionPlan> GraphCapture::Finish(
     ++plan->stats_.released_buffers;
   }
 
-  // The region-parallel replay defers each forward release to the barrier
-  // of the LAST stage any consumer runs in. The last-use *slot* is not
-  // enough: stages do not respect slot order across regions, so a buffer's
-  // final reader in schedule order can run an earlier stage than another
-  // reader (release there and the later-stage reader sees a freed buffer).
-  // Iterating slots in ascending order keeps the release order
-  // deterministic.
-  {
-    std::vector<int64_t> step_stage(plan->forward_.size(), 0);
-    for (const Region& region : plan->regions_.regions) {
-      for (int64_t i : region.steps) {
-        step_stage[static_cast<size_t>(i)] = region.stage;
-      }
-    }
-    std::unordered_map<Node*, int64_t> release_stage;
-    release_stage.reserve(plan->forward_.size());
-    for (int64_t i = 0; i < F; ++i) {
-      Node* n = plan->forward_[i];
-      const int64_t s = step_stage[static_cast<size_t>(i)];
-      auto bump = [&](Node* m) {
-        auto [it, inserted] = release_stage.try_emplace(m, s);
-        if (!inserted && s > it->second) it->second = s;
-      };
-      bump(n);
-      for (const NodePtr& p : n->parents) {
-        if (forward_step.count(p.get())) bump(p.get());
-      }
-    }
-    plan->release_after_stage_.assign(
-        static_cast<size_t>(plan->regions_.num_stages), {});
-    for (int64_t i = 0; i < F; ++i) {
-      for (Node* node : plan->release_after_forward_[i]) {
-        plan->release_after_stage_[static_cast<size_t>(release_stage.at(node))]
-            .push_back(node);
-      }
-    }
-  }
-
   // --- Stats -------------------------------------------------------------
   plan->stats_.forward_ops = F;
   plan->stats_.backward_ops = B;
@@ -263,7 +164,7 @@ std::unique_ptr<ExecutionPlan> GraphCapture::Finish(
     }
   }
 
-  // Analytic peak of live intermediate bytes across one serial replay,
+  // Analytic peak of live intermediate bytes across one replay,
   // walking the same timeline the replay executes. Gradient buffers are
   // charged when first accumulated into (a consumer's backward for parents,
   // the node's own step for the root seed).
@@ -338,43 +239,7 @@ void ExecutionPlan::BindFeeds(const std::vector<Tensor>& feeds) {
   }
 }
 
-void ExecutionPlan::ExecuteRegion(int64_t region) {
-  for (int64_t i : regions_.regions[static_cast<size_t>(region)].steps) {
-    Node* n = forward_[i];
-    n->value = Kernel(n->kind).forward(*n);
-  }
-}
-
-void ExecutionPlan::RunForwardRegions() {
-  std::vector<int64_t> par;  // this stage's pool-eligible regions
-  for (size_t s = 0; s < stage_regions_.size(); ++s) {
-    par.clear();
-    for (int64_t r : stage_regions_[s]) {
-      if (regions_.regions[static_cast<size_t>(r)].has_rng) {
-        // Sampling regions run here, serially, in ascending region order —
-        // which is capture order — so the rng streams advance exactly as
-        // they did during tracing regardless of pool scheduling.
-        ExecuteRegion(r);
-      } else {
-        par.push_back(r);
-      }
-    }
-    runtime::RunRegions(static_cast<int64_t>(par.size()),
-                        [&](int64_t k) { ExecuteRegion(par[k]); });
-    // Stage barrier passed: every region that may read a buffer released
-    // here has completed. Releases stay on the orchestrating thread.
-    for (Node* r : release_after_stage_[s]) {
-      r->value = Tensor();
-      r->grad = Tensor();
-    }
-  }
-}
-
 void ExecutionPlan::RunForward() {
-  if (region_par_ && !profiling_) {
-    RunForwardRegions();
-    return;
-  }
   const size_t count = forward_.size();
   for (size_t i = 0; i < count; ++i) {
     Node* n = forward_[i];
@@ -456,7 +321,6 @@ void ExecutionPlan::RetainValues(const std::vector<ag::Node*>& keep) {
     list.resize(w);
   };
   for (auto& list : release_after_forward_) filter(list);
-  for (auto& list : release_after_stage_) filter(list);
 }
 
 const Tensor& ExecutionPlan::ReplayForwardMasked(
@@ -479,29 +343,6 @@ const Tensor& ExecutionPlan::ReplayForwardMasked(
     }
   }
   return root_->value;
-}
-
-std::string ExecutionPlan::RegionSignature() const {
-  std::string out;
-  for (size_t r = 0; r < regions_.regions.size(); ++r) {
-    const Region& region = regions_.regions[r];
-    out += "r" + std::to_string(r) + "@s" + std::to_string(region.stage);
-    if (!region.deps.empty()) {
-      out += "<";
-      for (size_t d = 0; d < region.deps.size(); ++d) {
-        if (d > 0) out += ",";
-        out += std::to_string(region.deps[d]);
-      }
-      out += ">";
-    }
-    out += "(";
-    for (size_t i = 0; i < region.steps.size(); ++i) {
-      if (i > 0) out += ",";
-      out += OpKindName(forward_[region.steps[i]]->kind);
-    }
-    out += ");";
-  }
-  return out;
 }
 
 std::vector<OpProfile> ExecutionPlan::Profile() const {

@@ -5,25 +5,14 @@
 // ExecutionPlan:
 //
 //   * the forward schedule is the recorded op nodes in creation order —
-//     which IS the eager execution order — then runs through the fusion
-//     passes (ir/rewrite.h): elementwise chains collapse into single
-//     kFusedMap steps and attention quads into kFusedAttention steps, so a
-//     replay executes fewer, fatter kernels that compute the exact same
-//     bits (the fused kernels reuse the unfused per-element paths);
-//   * the rewritten schedule is partitioned into dependency-closed regions
-//     grouped into stages (ir/regions.h); regions within a stage are
-//     independent and may replay concurrently on the worker pool
-//     (runtime/parallel.h) with a deterministic join — each region writes
-//     only its own steps' buffers, sampling regions run serially in region
-//     order to preserve the traced rng stream, and buffer releases happen
-//     at stage barriers on the orchestrating thread;
+//     which IS the eager execution order — frozen as recorded: one step
+//     per traced op, replayed serially (kernels parallelise internally
+//     through runtime/parallel.h);
 //   * the backward schedule is the reversed depth-first post-order of the
 //     requires-grad subgraph (ag::detail::TopoSortGradGraph — the same
 //     routine Var::Backward uses), pruned to nodes that actually carry a
 //     backward kernel, so replayed gradient accumulation is ordered
-//     bit-identically to traced Backward(). Fusion never absorbs a node the
-//     backward schedule touches (only gradient-free nodes fuse), and the
-//     backward schedule always runs serially;
+//     bit-identically to traced Backward();
 //   * liveness analysis computes, once, the last step at which every
 //     intermediate value/gradient can be read; replays release buffers at
 //     those points, recycling them through the tensor pool instead of
@@ -33,18 +22,12 @@
 // buffer identity at capture time) and re-executes the schedules — no node
 // allocation, no shared_ptr churn, no topological sort, no closure
 // dispatch. Traced and replayed steps are bit-identical by construction:
-// same per-element arithmetic, same gradient accumulation paths, and
-// per-element results independent of fusion and of region parallelism
-// (the simd.h lane-independence contract).
+// same kernels in the same order, same gradient accumulation paths.
 //
-// Mode gates (each env var / setter pair follows the same lazy pattern):
-//   STWA_NO_PLAN=1 / SetPlanMode(false)          — no capture/replay at all;
-//   STWA_NO_FUSE=1 / SetFuseMode(false)          — capture without rewriting
-//     (also the compiled-in default under -DSTWA_NO_FUSE=ON);
-//   STWA_NO_REGION_PAR=1 / SetRegionParMode(false) — replay serially.
-// Consumers snapshot all three at capture/session setup via
-// SnapshotPlanModes(), so a mid-run toggle can never produce a half-planned
-// epoch or a half-fused session.
+// One mode gate: STWA_NO_PLAN=1 / SetPlanMode(false) turns capture/replay
+// off. Consumers read PlanModeEnabled() once at setup (trainer, step
+// engine, serving session), so a mid-run toggle can never produce a
+// half-planned epoch or session.
 
 #ifndef STWA_IR_PLAN_H_
 #define STWA_IR_PLAN_H_
@@ -52,21 +35,19 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "autograd/var.h"
 #include "ir/op_kind.h"
-#include "ir/regions.h"
 
 namespace stwa {
 namespace ir {
 
 /// Structural summary of a captured plan.
 struct PlanStats {
-  /// Every node recorded during capture (leaves + ops), before rewriting.
+  /// Every node recorded during capture (leaves + ops).
   int64_t captured_nodes = 0;
-  /// Op nodes re-executed per forward replay (after fusion rewrites).
+  /// Op nodes re-executed per forward replay.
   int64_t forward_ops = 0;
   /// Backward kernel invocations per replay (after pruning subgraphs whose
   /// gradients cannot reach a parameter).
@@ -82,22 +63,6 @@ struct PlanStats {
   int64_t peak_live_bytes = 0;
   /// Intermediate buffers released (and pool-recycled) per replay.
   int64_t released_buffers = 0;
-
-  // --- Rewrite passes (ir/rewrite.h) ---
-  /// Fused elementwise-chain nodes emitted.
-  int64_t fused_map_nodes = 0;
-  /// Fused attention-quad nodes emitted.
-  int64_t fused_attention_nodes = 0;
-  /// Forward steps removed by fusion (captured ops minus replacements).
-  int64_t fused_away_ops = 0;
-
-  // --- Region schedule (ir/regions.h) ---
-  /// Dependency-closed regions in the rewritten forward schedule.
-  int64_t regions = 0;
-  /// Dependency depth of the region graph.
-  int64_t region_stages = 0;
-  /// Most regions sharing one stage — the replay parallelism ceiling.
-  int64_t max_stage_width = 0;
 };
 
 /// Per-OpKind timing / allocation accumulators (EnableProfiling).
@@ -112,14 +77,6 @@ struct OpProfile {
   uint64_t buffer_requests = 0;
   /// Acquisitions that had to heap-allocate (pool misses).
   uint64_t heap_allocs = 0;
-};
-
-/// One consumer-visible snapshot of the three plan gates. Taken once per
-/// capture scope / session so every decision downstream of it agrees.
-struct PlanModes {
-  bool plan = true;
-  bool fuse = true;
-  bool region_parallel = true;
 };
 
 /// A frozen forward(+backward) schedule over a captured graph. Created by
@@ -143,23 +100,17 @@ class ExecutionPlan {
   /// Structural summary (computed once at capture).
   const PlanStats& stats() const { return stats_; }
 
-  /// Compact structural fingerprint of the region schedule — every region's
-  /// stage, dependencies and step kinds in region order. Two captures of
-  /// the same graph shape produce the same signature (determinism tests).
-  std::string RegionSignature() const;
-
   /// Toggles per-op timing/allocation accounting on replays (off by
   /// default — the hooks cost two clock reads and two pool snapshots per
-  /// op). Profiled replays run the serial schedule: the accumulators are
-  /// unsynchronised, and serial timings are the ones worth reading.
+  /// op).
   void EnableProfiling(bool on) { profiling_ = on; }
 
   /// Accumulated per-kind profile. Only kinds that appear in this plan's
   /// schedules have rows, and rows with zero recorded calls are omitted.
   std::vector<OpProfile> Profile() const;
 
-  /// Read-only view of the rewritten forward schedule (tests and the
-  /// benchmark harness inspect fused-node composition through this).
+  /// Read-only view of the forward schedule (plan analyses, tests and the
+  /// benchmark harness walk it).
   const std::vector<ag::Node*>& forward_steps() const { return forward_; }
 
   /// Captured feed leaves, in the order Finish() received them.
@@ -179,12 +130,12 @@ class ExecutionPlan {
   /// backward schedule (gradient liveness must stay exact).
   void RetainValues(const std::vector<ag::Node*>& keep);
 
-  /// Forward-only serial replay that executes only the steps whose
+  /// Forward-only replay that executes only the steps whose
   /// `execute[i]` is nonzero (parallel to forward_steps()). Skipped steps
   /// keep whatever value their node already holds — the caller guarantees
   /// it is current (retained invariant values, cache-spliced sliced
   /// values). Every release list still runs, so buffer lifetimes match
-  /// the serial schedule; releasing a never-computed node just clears an
+  /// a full replay; releasing a never-computed node just clears an
   /// empty tensor. Returns the root's value.
   const Tensor& ReplayForwardMasked(const std::vector<Tensor>& feeds,
                                     const std::vector<uint8_t>& execute);
@@ -195,11 +146,6 @@ class ExecutionPlan {
 
   void BindFeeds(const std::vector<Tensor>& feeds);
   void RunForward();
-  /// Stage-by-stage forward: sampling regions serially, then the stage's
-  /// remaining regions on the worker pool, then the stage's releases.
-  void RunForwardRegions();
-  /// Replays one region's steps in schedule order (no releases).
-  void ExecuteRegion(int64_t region);
   void RunBackward();
 
   /// Keeps every captured node alive (schedules hold raw pointers).
@@ -208,29 +154,17 @@ class ExecutionPlan {
   std::vector<ag::Node*> feed_nodes_;
   bool with_backward_ = false;
 
-  /// Op nodes in creation (= eager execution) order, after fusion rewrites.
+  /// Op nodes in creation (= eager execution) order.
   std::vector<ag::Node*> forward_;
   /// Reversed topo order over the requires-grad subgraph, pruned to nodes
   /// with backward kernels.
   std::vector<ag::Node*> backward_;
-
-  /// Region partition of forward_ and its stage grouping
-  /// (stage_regions_[s] = region indices of stage s, ascending).
-  RegionSchedule regions_;
-  std::vector<std::vector<int64_t>> stage_regions_;
-  /// Whether replays may dispatch stage regions onto the worker pool
-  /// (snapshot of the region-parallel gate at capture).
-  bool region_par_ = false;
 
   /// release_after_forward_[i]: nodes whose buffers are dead once
   /// forward_[i] has executed (likewise for backward steps). Releasing
   /// clears value and grad; leaves, feeds and the root are never listed.
   std::vector<std::vector<ag::Node*>> release_after_forward_;
   std::vector<std::vector<ag::Node*>> release_after_backward_;
-  /// The forward releases regrouped by the owning step's region stage —
-  /// the region-parallel replay frees buffers only at stage barriers, so
-  /// no concurrent region can observe a release.
-  std::vector<std::vector<ag::Node*>> release_after_stage_;
 
   PlanStats stats_;
   bool profiling_ = false;
@@ -242,16 +176,10 @@ class ExecutionPlan {
 
 /// RAII recording scope. Construct, trace one step eagerly (build the loss
 /// or prediction as usual), then Finish() to freeze a plan. If the scope
-/// dies without Finish(), the recording is discarded. The fuse /
-/// region-parallel gates are snapshotted at construction, so a toggle
-/// between tracing and Finish() cannot split one plan across modes.
+/// dies without Finish(), the recording is discarded.
 class GraphCapture {
  public:
   GraphCapture();
-  /// Uses a caller-held gate snapshot instead of re-reading the globals
-  /// (serving snapshots once at session open and passes it to every
-  /// capture of that session).
-  explicit GraphCapture(PlanModes modes);
   ~GraphCapture();
 
   GraphCapture(const GraphCapture&) = delete;
@@ -270,7 +198,6 @@ class GraphCapture {
 
  private:
   bool finished_ = false;
-  PlanModes modes_;
 };
 
 /// True when plan capture/replay is globally enabled: the default, unless
@@ -280,27 +207,6 @@ bool PlanModeEnabled();
 
 /// Runtime override of the STWA_NO_PLAN gate (used by A/B tests and bench).
 void SetPlanMode(bool enabled);
-
-/// True when the fusion rewrite passes run at capture. Default on, unless
-/// the build sets -DSTWA_NO_FUSE=ON, the STWA_NO_FUSE environment variable
-/// is non-zero, or SetFuseMode(false) was called.
-bool FuseModeEnabled();
-
-/// Runtime override of the STWA_NO_FUSE gate.
-void SetFuseMode(bool enabled);
-
-/// True when replays may execute stage regions on the worker pool. Default
-/// on, unless STWA_NO_REGION_PAR is non-zero or SetRegionParMode(false)
-/// was called. Serial and parallel replays are bit-identical either way.
-bool RegionParModeEnabled();
-
-/// Runtime override of the STWA_NO_REGION_PAR gate.
-void SetRegionParMode(bool enabled);
-
-/// Reads all three gates at once. Trainer and serving snapshot this at
-/// setup and never consult the globals again, so every capture and replay
-/// of one run agrees on the modes.
-PlanModes SnapshotPlanModes();
 
 }  // namespace ir
 }  // namespace stwa

@@ -229,20 +229,8 @@ NodeTime Transfer(const Node* n,
       if (at(0).axis == 0) return global;
       return sliced(at(0).axis);
     }
-    case OpKind::kFusedMap: {
-      // Fusion requires every side to share the head's shape, so each
-      // operand must itself be sliced on the head's axis; an invariant
-      // side would span the window.
-      int64_t axis = -1;
-      for (size_t i = 0; i < parents.size(); ++i) {
-        if (at(i).cls != TimeClass::kSliced) return global;
-        if (axis >= 0 && at(i).axis != axis) return global;
-        axis = at(i).axis;
-      }
-      return sliced(axis);
-    }
     default:
-      // kSumAll / kMeanAll / kFusedAttention / anything new: global.
+      // kSumAll / kMeanAll / anything new: global.
       return global;
   }
 }

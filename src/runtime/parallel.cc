@@ -183,20 +183,6 @@ ScopedSerialRegion::~ScopedSerialRegion() {
   detail::in_parallel_region = prev_;
 }
 
-void RunRegions(int64_t count, const std::function<void(int64_t)>& fn) {
-  if (count <= 0) return;
-  std::shared_ptr<ThreadPool> pool = Pool();
-  if (count == 1 || pool->size() == 1 || detail::in_parallel_region) {
-    for (int64_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
-  // Each task index is claimed by exactly one thread and Run() blocks until
-  // the last task's body returns, so the join is deterministic; task bodies
-  // inherit the in_parallel_region flag from Drain(), which keeps nested
-  // kernels serial.
-  pool->Run(count, fn);
-}
-
 namespace detail {
 
 void ParallelForImpl(int64_t begin, int64_t end, int64_t grain,

@@ -41,21 +41,9 @@ int DefaultNumThreads();
 /// True while the calling thread is executing inside a ParallelFor chunk.
 bool InParallelRegion();
 
-/// Runs fn(0) .. fn(count - 1) on the worker pool and blocks until every
-/// call has finished (deterministic join: the caller never resumes while a
-/// region body is still running). Unlike ParallelFor there is no range
-/// splitting — each index is one indivisible task (an execution-plan
-/// region, ir/regions.h). Bodies run with the nested-parallelism flag set,
-/// so kernels inside a region fall back to their serial paths — which
-/// compute the same bits by the ParallelFor determinism contract. Runs
-/// inline on the calling thread (ascending order) when count <= 1, the
-/// pool has one thread, or the caller is already inside a parallel region.
-/// Exceptions from fn are rethrown on the calling thread.
-void RunRegions(int64_t count, const std::function<void(int64_t)>& fn);
-
 /// RAII that pins the calling thread to serial kernel execution for its
-/// lifetime: every ParallelFor and RunRegions on this thread runs inline,
-/// exactly as if it were nested inside a parallel region. Fleet shard
+/// lifetime: every ParallelFor on this thread runs inline, exactly as if
+/// it were nested inside a parallel region. Fleet shard
 /// workers use this so K shards x W workers parallelise *across* requests
 /// instead of contending for the shared pool on every small kernel; the
 /// ParallelFor determinism contract makes the outputs bit-identical either

@@ -49,7 +49,7 @@ InferenceSession::InferenceSession(
       scaler_(info_.scaler_mean, info_.scaler_std),
       model_(std::move(model)),
       config_(config),
-      modes_(ir::SnapshotPlanModes()) {
+      use_plan_(ir::PlanModeEnabled()) {
   RegisterLowpWeights();
 }
 
@@ -135,14 +135,14 @@ Tensor InferenceSession::Forecast(const Tensor& raw_window) {
   // One snapshot (taken at session construction) gates both the lookup and
   // the capture: a global toggle between two calls can neither orphan a
   // cached plan nor capture into a session opened with plans off.
-  auto it = modes_.plan ? plans_.find(batch) : plans_.end();
-  if (modes_.plan && it == plans_.end()) {
+  auto it = use_plan_ ? plans_.find(batch) : plans_.end();
+  if (use_plan_ && it == plans_.end()) {
     // First request at this batch size: trace eagerly while recording and
     // freeze a forward-only plan for every later request. The feed is a
     // fresh transform (not staging): the captured leaf pins its buffer
     // for the plan's lifetime.
     Tensor normalised = scaler_.Transform(window);
-    ir::GraphCapture capture(modes_);
+    ir::GraphCapture capture;
     ag::Var pred = model_->Forward(normalised, /*training=*/false);
     STWA_CHECK(!pred.node()->requires_grad,
                "InferenceSession forward built gradient state under "
@@ -205,7 +205,7 @@ Tensor InferenceSession::ForecastStream(const Tensor& raw_window,
                                         int64_t stream_id, int64_t anchor,
                                         StreamCache* cache,
                                         uint64_t generation) {
-  if (cache == nullptr || !modes_.plan || stream_id < 0) {
+  if (cache == nullptr || !use_plan_ || stream_id < 0) {
     if (cache != nullptr) cache->CountBypass();
     return Forecast(raw_window);
   }
@@ -242,7 +242,7 @@ Tensor InferenceSession::ForecastStream(const Tensor& raw_window,
     // harvest those values as this stream's first cache entry — the trace
     // itself was a valid cold compute for this window.
     Tensor normalised = scaler_.Transform(window);
-    ir::GraphCapture capture(modes_);
+    ir::GraphCapture capture;
     ag::Var pred = model_->Forward(normalised, /*training=*/false);
     STWA_CHECK(!pred.node()->requires_grad,
                "InferenceSession forward built gradient state under "

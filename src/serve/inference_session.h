@@ -78,11 +78,10 @@ class InferenceSession {
   /// B=1) -> forecast of the same batch rank with U steps. Runs under
   /// NoGradMode. Deterministic: eval mode uses the latent mean, so equal
   /// inputs give bit-equal outputs for any batch size. The first call per
-  /// batch size captures a forward-only execution plan (ir/plan.h) —
-  /// fused and region-partitioned per the gates snapshotted when the
-  /// session was opened; later calls replay it with the new window data —
-  /// bit-identical outputs, no graph construction. STWA_NO_PLAN=1 (at
-  /// open time) keeps every call eager.
+  /// batch size captures a forward-only execution plan (ir/plan.h); later
+  /// calls replay it with the new window data — bit-identical outputs, no
+  /// graph construction. STWA_NO_PLAN=1 (at open time) keeps every call
+  /// eager.
   Tensor Forecast(const Tensor& raw_window);
 
   /// Forecast for one live stream with cross-call reuse. `raw_window` is
@@ -125,10 +124,10 @@ class InferenceSession {
   /// Weight buffers registered in the lowp cache; unregistered in the
   /// destructor, strictly before model_ frees them.
   std::vector<const float*> lowp_keys_;
-  /// Plan gates snapshotted when the session was constructed
-  /// (ir::SnapshotPlanModes): every Forecast of one session agrees on
-  /// plan/fuse/region modes even if a global toggle flips mid-stream.
-  ir::PlanModes modes_;
+  /// Plan gate snapshotted when the session was constructed
+  /// (ir::PlanModeEnabled): every Forecast of one session agrees on it
+  /// even if a global toggle flips mid-stream.
+  bool use_plan_;
   int64_t forward_count_ = 0;
   /// Forward-only plans keyed by batch size (all other input dims are
   /// fixed by the checkpoint). Null entry: shape not plannable, stay

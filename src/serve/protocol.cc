@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "common/string_util.h"
@@ -10,24 +9,6 @@
 namespace stwa {
 namespace serve {
 namespace {
-
-bool ParseFloatToken(const std::string& token, float* out) {
-  char* end = nullptr;
-  *out = std::strtof(token.c_str(), &end);
-  return end != nullptr && *end == '\0' && !token.empty();
-}
-
-bool ParseIntToken(const std::string& token, int64_t* out) {
-  char* end = nullptr;
-  *out = std::strtoll(token.c_str(), &end, 10);
-  return end != nullptr && *end == '\0' && !token.empty();
-}
-
-std::string FormatMicros(double micros) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.1f", micros);
-  return buf;
-}
 
 /// Spaces inside err= values would break token-oriented clients.
 std::string Underscored(const std::string& s) {

@@ -18,10 +18,10 @@
 //
 // Parsing and formatting are pure functions so they unit-test without
 // sockets or threads. LineSession drives one client's command stream
-// against a Server: every malformed line — bad floats, out-of-range
-// sensor indices, wrong value counts — is answered with an `err` line and
-// counted in the server stats; nothing a client writes can reach a worker
-// CHECK.
+// against a Server: every malformed line — bad or non-finite floats
+// (nan, inf, overflow), out-of-range sensor indices, wrong value counts —
+// is answered with an `err` line and counted in the server stats; nothing
+// a client writes can reach a worker CHECK or the model.
 
 #ifndef STWA_SERVE_PROTOCOL_H_
 #define STWA_SERVE_PROTOCOL_H_

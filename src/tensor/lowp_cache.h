@@ -5,7 +5,7 @@
 // (simd::PackWeights) and register them here; tensor/ops.cc's MatMul
 // entry points consult the registry on their B operand and dispatch to
 // simd::GemmLowp on a hit. A pointer key is what makes the hook work
-// under region-parallel plan replay: kernels run on shared pool worker
+// under parallel kernels: ParallelFor chunks run on shared pool worker
 // threads, so a thread-local "current precision" would never be visible
 // there — the operand pointer is, on whatever thread executes the kernel.
 //

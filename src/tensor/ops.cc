@@ -8,11 +8,9 @@
 
 #include "common/check.h"
 #include "runtime/parallel.h"
-#include "simd/fused.h"
 #include "simd/gemm.h"
 #include "simd/gemm_lowp.h"
 #include "simd/vec_math.h"
-#include "tensor/fused_ops.h"
 #include "tensor/lowp_cache.h"
 
 namespace stwa {
@@ -466,8 +464,8 @@ Tensor MatMul2D(const Tensor& a, const Tensor& b) {
              ShapeToString(a.shape()), " x ", ShapeToString(b.shape()));
   // Reduced-precision hook: a serving session registered prepacked bf16 /
   // int8 panels for this weight operand (tensor/lowp_cache.h). Selection
-  // depends only on the operand pointer, so eager, plan replay and
-  // region-parallel replay all dispatch the same way on any thread.
+  // depends only on the operand pointer, so eager and plan replay
+  // dispatch the same way on any thread.
   if (const auto pack = lowp::Find(b.data(), k, n, /*trans=*/false)) {
     Tensor out = Tensor::Uninit(Shape{m, n});
     simd::GemmLowp(a.data(), *pack, out.data(), m, /*trans_a=*/false);
@@ -965,10 +963,10 @@ Tensor BroadcastTo(const Tensor& a, const Shape& shape) {
   return out;
 }
 
-// Per-row softmax body shared by SoftmaxLast and FusedAttention: rows are
-// independent, so a range [r0, r1) computes the same bits regardless of
-// which caller (or worker) runs it. In-place safe (src == dst): every
-// element is read before its slot is overwritten. `vec_rows` must be the
+// Per-row softmax body of SoftmaxLast: rows are independent, so a range
+// [r0, r1) computes the same bits regardless of which worker runs it.
+// In-place safe (src == dst): every element is read before its slot is
+// overwritten. `vec_rows` must be the
 // shape-only decision `simd::kEnabled && last >= kVecW`.
 static void SoftmaxRowRange(const float* pa, float* po, int64_t r0,
                             int64_t r1, int64_t last, bool vec_rows) {
@@ -1348,278 +1346,6 @@ bool AllClose(const Tensor& a, const Tensor& b, float rtol, float atol) {
     }
   }
   return true;
-}
-
-// --- Fused kernels (plan-rewrite targets; see tensor/fused_ops.h) --------
-
-namespace {
-
-/// Decoded stage of a fused chain, with the side pointer resolved.
-struct FusedStageRT {
-  simd::FusedOp op;
-  const float* side = nullptr;  // null for unary/scalar stages
-  float scalar = 0.0f;
-  bool swapped = false;
-  bool side_full = false;  // full-shape side (false: broadcast run)
-};
-
-/// True when `side` is `out` or a non-empty exact suffix of it (the
-/// rewriter's SideFusible contract).
-bool FusedSideShapeOk(const Shape& side, const Shape& out) {
-  if (side == out) return true;
-  if (side.empty() || side.size() >= out.size()) return false;
-  const size_t off = out.size() - side.size();
-  for (size_t i = 0; i < side.size(); ++i) {
-    if (side[i] != out[i + off]) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-Tensor FusedMap(const Tensor& head, const std::vector<Tensor>& sides,
-                const std::vector<int64_t>& program,
-                const std::vector<float>& scalars) {
-  STWA_CHECK(program.size() % 3 == 0, "FusedMap program not triples: ",
-             program.size());
-  const size_t n_stages = program.size() / 3;
-  STWA_CHECK(scalars.size() == n_stages, "FusedMap scalar count ",
-             scalars.size(), " != stage count ", n_stages);
-  // Sides are either full-shape or one common exact-suffix "run" (the bias
-  // pattern); the rewriter guarantees a single run length per chain.
-  int64_t run = head.size();
-  for (const Tensor& s : sides) {
-    STWA_CHECK(FusedSideShapeOk(s.shape(), head.shape()),
-               "FusedMap side shape ", ShapeToString(s.shape()),
-               " is neither the head shape ", ShapeToString(head.shape()),
-               " nor a suffix of it");
-    if (s.size() != head.size()) {
-      STWA_CHECK(run == head.size() || run == s.size(),
-                 "FusedMap broadcast sides disagree on run length: ", run,
-                 " vs ", s.size());
-      run = s.size();
-    }
-  }
-  std::vector<FusedStageRT> stages(n_stages);
-  for (size_t s = 0; s < n_stages; ++s) {
-    const auto op = static_cast<simd::FusedOp>(program[3 * s]);
-    const int64_t slot = program[3 * s + 1];
-    STWA_CHECK(static_cast<int64_t>(op) >= 0 &&
-                   op < simd::FusedOp::kCount,
-               "FusedMap bad opcode ", program[3 * s]);
-    if (simd::FusedOpIsBinary(op)) {
-      STWA_CHECK(slot >= 0 && slot < static_cast<int64_t>(sides.size()),
-                 "FusedMap side slot ", slot, " out of range");
-      stages[s].side = sides[slot].data();
-      stages[s].side_full = sides[slot].size() == head.size();
-    } else {
-      STWA_CHECK(slot < 0, "FusedMap unary stage with a side slot");
-    }
-    stages[s].op = op;
-    stages[s].scalar = scalars[s];
-    stages[s].swapped = program[3 * s + 2] != 0;
-  }
-
-  Tensor out = Tensor::Uninit(head.shape());
-  const int64_t size = head.size();
-  if (size == 0) return out;
-  const float* ph = head.data();
-  float* po = out.data();
-  const FusedStageRT* st = stages.data();
-  const int64_t count = static_cast<int64_t>(n_stages);
-  // Each chunk does `count` op-equivalents per element; keep the
-  // per-chunk work near the shared floor.
-  if (run == size) {
-    const int64_t grain =
-        std::max<int64_t>(1, kMinChunkWork / std::max<int64_t>(1, count));
-    runtime::ParallelFor(
-        0, size, grain, [=](int64_t begin, int64_t end) {
-          if constexpr (simd::kEnabled) {
-            int64_t i = begin;
-            for (; i + kVecW <= end; i += kVecW) {
-              Vec x = Vec::Load(ph + i);
-              for (int64_t s = 0; s < count; ++s) {
-                const Vec side = st[s].side != nullptr
-                                     ? Vec::Load(st[s].side + i)
-                                     : Vec::Zero();
-                x = simd::FusedApply(st[s].op, x, side, st[s].scalar,
-                                     st[s].swapped);
-              }
-              x.Store(po + i);
-            }
-            if (i < end) {
-              const int64_t rem = end - i;
-              Vec x = simd::LoadPartial(ph + i, rem);
-              for (int64_t s = 0; s < count; ++s) {
-                const Vec side = st[s].side != nullptr
-                                     ? simd::LoadPartial(st[s].side + i, rem)
-                                     : Vec::Zero();
-                x = simd::FusedApply(st[s].op, x, side, st[s].scalar,
-                                     st[s].swapped);
-              }
-              simd::StorePartial(x, po + i, rem);
-            }
-          } else {
-            for (int64_t i = begin; i < end; ++i) {
-              float x = ph[i];
-              for (int64_t s = 0; s < count; ++s) {
-                const float side =
-                    st[s].side != nullptr ? st[s].side[i] : 0.0f;
-                x = simd::FusedApply(st[s].op, x, side, st[s].scalar,
-                                     st[s].swapped);
-              }
-              po[i] = x;
-            }
-          }
-        });
-    return out;
-  }
-
-  // Broadcast path: rows of length `run`; full-shape sides stream with the
-  // head while suffix sides restart at every row. Lane grouping differs
-  // from the flat path only in where vector blocks fall — every op is
-  // lane-independent, so per-element results match the eager broadcast.
-  const int64_t rows = size / run;
-  const int64_t row_grain = std::max<int64_t>(
-      1, kMinChunkWork / std::max<int64_t>(1, count * run));
-  runtime::ParallelFor(0, rows, row_grain, [=](int64_t r0, int64_t r1) {
-    for (int64_t r = r0; r < r1; ++r) {
-      const int64_t base = r * run;
-      if constexpr (simd::kEnabled) {
-        int64_t j = 0;
-        for (; j + kVecW <= run; j += kVecW) {
-          Vec x = Vec::Load(ph + base + j);
-          for (int64_t s = 0; s < count; ++s) {
-            const Vec side =
-                st[s].side != nullptr
-                    ? Vec::Load(st[s].side + (st[s].side_full ? base : 0) + j)
-                    : Vec::Zero();
-            x = simd::FusedApply(st[s].op, x, side, st[s].scalar,
-                                 st[s].swapped);
-          }
-          x.Store(po + base + j);
-        }
-        if (j < run) {
-          const int64_t rem = run - j;
-          Vec x = simd::LoadPartial(ph + base + j, rem);
-          for (int64_t s = 0; s < count; ++s) {
-            const Vec side =
-                st[s].side != nullptr
-                    ? simd::LoadPartial(
-                          st[s].side + (st[s].side_full ? base : 0) + j, rem)
-                    : Vec::Zero();
-            x = simd::FusedApply(st[s].op, x, side, st[s].scalar,
-                                 st[s].swapped);
-          }
-          simd::StorePartial(x, po + base + j, rem);
-        }
-      } else {
-        for (int64_t j = 0; j < run; ++j) {
-          float x = ph[base + j];
-          for (int64_t s = 0; s < count; ++s) {
-            const float side =
-                st[s].side != nullptr
-                    ? st[s].side[(st[s].side_full ? base : 0) + j]
-                    : 0.0f;
-            x = simd::FusedApply(st[s].op, x, side, st[s].scalar,
-                                 st[s].swapped);
-          }
-          po[base + j] = x;
-        }
-      }
-    }
-  });
-  return out;
-}
-
-Tensor FusedAttention(const Tensor& q, const Tensor& kt, const Tensor& v,
-                      float scale) {
-  const int64_t rank = q.rank();
-  STWA_CHECK(rank >= 2 && kt.rank() == rank && v.rank() == rank,
-             "FusedAttention rank mismatch: ", ShapeToString(q.shape()),
-             " / ", ShapeToString(kt.shape()), " / ",
-             ShapeToString(v.shape()));
-  const int64_t m = q.dim(-2);
-  const int64_t k = q.dim(-1);
-  const int64_t n = kt.dim(-1);
-  const int64_t d = v.dim(-1);
-  STWA_CHECK(kt.dim(-2) == k && v.dim(-2) == n,
-             "FusedAttention inner dims mismatch: ",
-             ShapeToString(q.shape()), " / ", ShapeToString(kt.shape()),
-             " / ", ShapeToString(v.shape()));
-  Shape batch(q.shape().begin(), q.shape().end() - 2);
-  STWA_CHECK(Shape(kt.shape().begin(), kt.shape().end() - 2) == batch &&
-                 Shape(v.shape().begin(), v.shape().end() - 2) == batch,
-             "FusedAttention batch dims must be equal (the rewriter only "
-             "fuses such quads)");
-  const int64_t batch_count = NumElements(batch);
-  Shape out_shape = batch;
-  out_shape.push_back(m);
-  out_shape.push_back(d);
-  // The SIMD NN row kernel writes every element; the legacy row kernel
-  // accumulates into zeros — identical to the unfused batched MatMul.
-  Tensor out =
-      simd::kEnabled ? Tensor::Uninit(out_shape) : Tensor(out_shape);
-  if (out.size() == 0) return out;
-
-  const float* pq = q.data();
-  const float* pk = kt.data();
-  const float* pv = v.data();
-  float* po = out.data();
-  const int64_t q_mat = m * k;
-  const int64_t k_mat = k * n;
-  const int64_t v_mat = n * d;
-  const int64_t o_mat = m * d;
-  // Same shape-only row decision as the standalone SoftmaxLast.
-  const bool vec_rows = simd::kEnabled && n >= kVecW;
-  // One slice = both GEMMs + scale + softmax worth of work.
-  const int64_t slice_work =
-      std::max<int64_t>(1, m * n * (k + d + 4));
-  const int64_t grain = std::max<int64_t>(1, kMinChunkWork / slice_work);
-  runtime::ParallelFor(
-      0, batch_count, grain, [=](int64_t b0, int64_t b1) {
-        // Per-chunk pooled score scratch, recycled across the slices of
-        // the chunk. The full [batch, m, n] score tensor never exists.
-        Tensor scores = simd::kEnabled ? Tensor::Uninit(Shape{m, n})
-                                       : Tensor(Shape{m, n});
-        float* ps = scores.data();
-        for (int64_t b = b0; b < b1; ++b) {
-          const float* qs = pq + b * q_mat;
-          const float* ks = pk + b * k_mat;
-          const float* vs = pv + b * v_mat;
-          float* os = po + b * o_mat;
-          if constexpr (simd::kEnabled) {
-            simd::GemmRowsNN(qs, ks, ps, 0, m, k, n);
-          } else {
-            std::fill(ps, ps + m * n, 0.0f);
-            MatMulRowRange(qs, ks, ps, 0, m, k, n);
-          }
-          // Scale in place with the same lane op as the standalone
-          // MulScalar map (full vectors + one partial tail).
-          const int64_t mn = m * n;
-          if constexpr (simd::kEnabled) {
-            const simd::MulScalarOp op{scale};
-            int64_t i = 0;
-            for (; i + kVecW <= mn; i += kVecW) {
-              op(Vec::Load(ps + i)).Store(ps + i);
-            }
-            if (i < mn) {
-              const int64_t rem = mn - i;
-              simd::StorePartial(op(simd::LoadPartial(ps + i, rem)), ps + i,
-                                 rem);
-            }
-          } else {
-            for (int64_t i = 0; i < mn; ++i) ps[i] *= scale;
-          }
-          SoftmaxRowRange(ps, ps, 0, m, n, vec_rows);
-          if constexpr (simd::kEnabled) {
-            simd::GemmRowsNN(ps, vs, os, 0, m, n, d);
-          } else {
-            MatMulRowRange(ps, vs, os, 0, m, n, d);
-          }
-        }
-      });
-  return out;
 }
 
 }  // namespace ops

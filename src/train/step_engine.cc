@@ -21,7 +21,7 @@ StepEngine::StepEngine(ForecastModel& model, StepEngineConfig config)
     : model_(model),
       config_(config),
       use_plan_(config.use_plan >= 0 ? config.use_plan != 0
-                                     : ir::SnapshotPlanModes().plan),
+                                     : ir::PlanModeEnabled()),
       params_(model.Parameters()) {}
 
 optim::Optimizer& StepEngine::optimizer() {
@@ -68,11 +68,6 @@ float StepEngine::Step(const data::Batch& batch) {
           plan_.backward_ops = s.backward_ops;
           plan_.pruned_ops = s.pruned_ops;
           plan_.peak_live_bytes = s.peak_live_bytes;
-          plan_.fused_map_nodes = s.fused_map_nodes;
-          plan_.fused_attention_nodes = s.fused_attention_nodes;
-          plan_.fused_away_ops = s.fused_away_ops;
-          plan_.regions = s.regions;
-          plan_.region_stages = s.region_stages;
         }
       }
       train_plans_.emplace(key, std::move(plan));

@@ -60,14 +60,6 @@ struct PlanSummary {
   int64_t backward_ops = 0;
   int64_t pruned_ops = 0;
   int64_t peak_live_bytes = 0;
-  /// Fusion rewrites of that plan (ir/rewrite.h): fused super-ops emitted
-  /// and forward steps they absorbed.
-  int64_t fused_map_nodes = 0;
-  int64_t fused_attention_nodes = 0;
-  int64_t fused_away_ops = 0;
-  /// Region schedule of that plan (ir/regions.h).
-  int64_t regions = 0;
-  int64_t region_stages = 0;
 };
 
 /// Per-step hyper-parameters of the engine (the loop-level knobs — epochs,

@@ -15,7 +15,7 @@ Trainer::Trainer(const data::TrafficDataset& dataset, int64_t history,
                  int64_t horizon, TrainConfig config)
     : config_(config),
       use_plan_(config.use_plan >= 0 ? config.use_plan != 0
-                                     : ir::SnapshotPlanModes().plan),
+                                     : ir::PlanModeEnabled()),
       history_(history),
       horizon_(horizon) {
   if (config_.num_threads > 0) {

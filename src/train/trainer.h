@@ -93,7 +93,7 @@ class Trainer {
 
   TrainConfig config_;
   /// Plan gate resolved once at construction (config override, else the
-  /// global snapshot — ir::SnapshotPlanModes). Fit and Evaluate consult
+  /// global gate — ir::PlanModeEnabled). Fit and Evaluate consult
   /// only this, so a mid-run SetPlanMode toggle can never split one run
   /// between planned and eager epochs.
   bool use_plan_;

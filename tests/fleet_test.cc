@@ -555,6 +555,62 @@ TEST(FleetLineSessionTest, RoutesProfilesAndCountsMalformedLines) {
   std::remove(f.path.c_str());
 }
 
+TEST(FleetLineSessionTest, NonFiniteObservationsLeaveTheTileUnchanged) {
+  Fixture f = MakeFixture("stwa_fleet_proto_nonfinite.bin");
+  FleetConfig config;
+  FleetProfileConfig profile = SmallProfile("cityX", f.path);
+  profile.tiles = 2;
+  profile.shards = 1;
+  config.profiles.push_back(profile);
+  FleetNode node(config);
+  FleetLineSession session(node);
+  bool quit = false;
+
+  const int64_t n = f.info.num_sensors;
+  const int64_t h = f.settings.history;
+  const Tensor series = ops::Slice(f.dataset.values, 1, 0, h + 1);
+  auto obs_line = [&](int64_t step) {
+    std::string line = "cityX obs 0";
+    for (int64_t i = 0; i < n; ++i) {
+      line += ' ' + std::to_string(series.data()[i * (h + 1) + step]);
+    }
+    return line;
+  };
+  for (int64_t s = 0; s < h; ++s) {
+    auto ok = session.Handle(obs_line(s), &quit);
+    ASSERT_TRUE(ok.has_value());
+    ASSERT_EQ(*ok, "ok");
+  }
+  auto before = session.Handle("cityX forecast 0", &quit);
+  ASSERT_TRUE(before.has_value());
+  ASSERT_EQ(before->rfind("forecast ok=1 degraded=0", 0), 0u) << *before;
+
+  // Tile 0 holds global sensors [0, n); each line targets one of them.
+  const std::vector<std::string> bad = {
+      "cityX obs 0 nan 200 200 200", "cityX obs 0 200 inf 200 200",
+      "cityX obs 0 200 200 1e39 200", "cityX obs1 0 nan",
+      "cityX obs1 1 -inf",            "cityX obs1 2 1e39",
+  };
+  for (size_t i = 0; i < bad.size(); ++i) {
+    auto resp = session.Handle(bad[i], &quit);
+    ASSERT_TRUE(resp.has_value()) << bad[i];
+    EXPECT_EQ(resp->rfind("err ", 0), 0u) << bad[i] << " -> " << *resp;
+    EXPECT_EQ(session.protocol_errors(), static_cast<int64_t>(i + 1));
+  }
+  EXPECT_EQ(node.Stats().protocol_errors, static_cast<int64_t>(bad.size()));
+
+  // Nothing reached the tile: the next forecast is the same bytes.
+  auto after = session.Handle("cityX forecast 0", &quit);
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(*after, *before);
+  // A finite observation does move it, so the comparison above can fail.
+  ASSERT_EQ(*session.Handle(obs_line(h), &quit), "ok");
+  auto moved = session.Handle("cityX forecast 0", &quit);
+  ASSERT_TRUE(moved.has_value());
+  EXPECT_NE(*moved, *before);
+  std::remove(f.path.c_str());
+}
+
 TEST(FleetLineSessionTest, ThrottledForecastHasDistinctFirstToken) {
   Fixture f = MakeFixture("stwa_fleet_throttle.bin");
   FleetConfig config;

@@ -37,7 +37,9 @@ namespace {
 
 bool BitIdentical(const Tensor& a, const Tensor& b) {
   if (a.shape() != b.shape()) return false;
-  return std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0;
+  // Empty tensors may hold null data; memcmp must not see it.
+  return a.size() == 0 ||
+         std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0;
 }
 
 // --- Registry invariants --------------------------------------------------
@@ -330,6 +332,37 @@ TEST(PlanTrainingTest, PlanCacheCapturesPerBatchShape) {
   const int64_t steps_per_epoch = static_cast<int64_t>(batches.size());
   EXPECT_EQ(r.plan.traced_steps + r.plan.replayed_steps,
             steps_per_epoch * r.epochs_run);
+}
+
+TEST(PlanReplayTest, StwaEvalPlanIsBitIdenticalAcrossThreads) {
+  data::TrafficDataset d = PlanDataset();
+  baselines::ModelSettings s = PlanSettings();
+  SetGlobalSeed(123);
+  auto model = baselines::MakeModel("ST-WA", d, s);
+  Rng rng(19);
+  const Shape shape = {2, d.num_sensors(), s.history, d.num_features()};
+  Tensor x0 = Tensor::Rand(shape, rng, -1.5f, 1.5f);
+  Tensor x1 = Tensor::Rand(shape, rng, -1.5f, 1.5f);
+
+  // Reference: a serial eager forward on x1. The plan is captured on x0,
+  // so every replay below really swaps its feed.
+  runtime::SetNumThreads(1);
+  Tensor reference;
+  std::unique_ptr<ir::ExecutionPlan> plan;
+  {
+    ag::NoGradMode no_grad;
+    reference = model->Forward(x1, /*training=*/false).value().Clone();
+    ir::GraphCapture capture;
+    ag::Var pred = model->Forward(x0, /*training=*/false);
+    plan = capture.Finish(pred, {x0}, /*with_backward=*/false);
+  }
+  ASSERT_NE(plan, nullptr);
+  for (int threads : {1, 2, 4}) {
+    runtime::SetNumThreads(threads);
+    EXPECT_TRUE(BitIdentical(plan->ReplayForward({x1}), reference))
+        << threads << " threads";
+  }
+  runtime::SetNumThreads(0);
 }
 
 // --- Serving bit-identity -------------------------------------------------

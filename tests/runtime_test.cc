@@ -29,7 +29,9 @@ namespace {
 /// True when the tensors have the same shape and bit-identical contents.
 bool BitIdentical(const Tensor& a, const Tensor& b) {
   if (a.shape() != b.shape()) return false;
-  return std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0;
+  // Empty tensors may hold null data; memcmp must not see it.
+  return a.size() == 0 ||
+         std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0;
 }
 
 // --- ParallelFor mechanics ------------------------------------------------

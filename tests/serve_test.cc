@@ -569,6 +569,21 @@ TEST(ProtocolTest, ParsesObservations) {
   EXPECT_FLOAT_EQ(s.values[0], 7.25f);
 }
 
+TEST(ProtocolTest, RejectsNonFiniteValues) {
+  // nan/inf spellings and overflow (strtof turns 1e39 into inf) never
+  // reach a stream; every such line parses as an error.
+  for (const char* line : {"obs 1 nan 3", "obs NaN", "obs 1 inf", "obs -INF",
+                           "obs 1e39 2", "obs1 0 nan", "obs1 0 -1e39",
+                           "obs1 1 infinity"}) {
+    const Command c = ParseCommand(line);
+    EXPECT_EQ(c.kind, Command::Kind::kInvalid) << line;
+    EXPECT_FALSE(c.error.empty()) << line;
+  }
+  // Finite extremes still parse.
+  const Command c = ParseCommand("obs 3.4e38 -3.4e38 1e-30 0");
+  EXPECT_EQ(c.kind, Command::Kind::kObs);
+}
+
 TEST(ProtocolTest, ParsesControlAndSkipsCommentsAndBlanks) {
   EXPECT_EQ(ParseCommand("forecast").kind, Command::Kind::kForecast);
   EXPECT_EQ(ParseCommand("stats").kind, Command::Kind::kStats);
@@ -742,6 +757,56 @@ TEST(LineSessionTest, MalformedLinesAreCountedNeverFatal) {
   auto bye = session.Handle("quit", &quit);
   EXPECT_TRUE(quit);
   EXPECT_EQ(*bye, "bye");
+  std::remove(f.path.c_str());
+}
+
+TEST(LineSessionTest, NonFiniteObservationsLeaveTheStreamUnchanged) {
+  Fixture f = MakeFixture("stwa_serve_session_nonfinite.bin");
+  Server server(f.path, ServerOptions{});
+  LineSession session(server);
+  bool quit = false;
+  const int64_t n = f.info.num_sensors;
+  const int64_t h = f.settings.history;
+  const Tensor series = ops::Slice(f.dataset.values, 1, 0, h + 1);
+  auto obs_line = [&](int64_t step) {
+    std::string line = "obs";
+    for (int64_t i = 0; i < n; ++i) {
+      line += ' ' + std::to_string(series.data()[i * (h + 1) + step]);
+    }
+    return line;
+  };
+  for (int64_t s = 0; s < h; ++s) {
+    auto ok = session.Handle(obs_line(s), &quit);
+    ASSERT_TRUE(ok.has_value());
+    ASSERT_EQ(*ok, "ok");
+  }
+  auto before = session.Handle("forecast", &quit);
+  ASSERT_TRUE(before.has_value());
+  ASSERT_EQ(before->rfind("forecast ok=1 degraded=0", 0), 0u) << *before;
+
+  const std::vector<std::string> bad = {
+      "obs nan 200 200 200", "obs 200 inf 200 200", "obs 200 200 1e39 200",
+      "obs1 0 nan",          "obs1 1 -inf",         "obs1 2 1e39",
+  };
+  for (size_t i = 0; i < bad.size(); ++i) {
+    auto resp = session.Handle(bad[i], &quit);
+    ASSERT_TRUE(resp.has_value()) << bad[i];
+    EXPECT_EQ(resp->rfind("err ", 0), 0u) << bad[i] << " -> " << *resp;
+    EXPECT_EQ(session.protocol_errors(), static_cast<int64_t>(i + 1));
+  }
+  auto stats = session.Handle("stats", &quit);
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_NE(stats->find("protocol_errors=6"), std::string::npos) << *stats;
+
+  // Nothing reached the stream: the next forecast is the same bytes.
+  auto after = session.Handle("forecast", &quit);
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(*after, *before);
+  // A finite observation does move it, so the comparison above can fail.
+  ASSERT_EQ(*session.Handle(obs_line(h), &quit), "ok");
+  auto moved = session.Handle("forecast", &quit);
+  ASSERT_TRUE(moved.has_value());
+  EXPECT_NE(*moved, *before);
   std::remove(f.path.c_str());
 }
 

@@ -87,7 +87,7 @@ std::unique_ptr<ir::ExecutionPlan> CapturePlan(const Fixture& f,
   Tensor norm = scaler.Transform(
       w.Reshape({1, w.dim(0), w.dim(1), w.dim(2)}));
   ag::NoGradMode no_grad;
-  ir::GraphCapture capture(ir::SnapshotPlanModes());
+  ir::GraphCapture capture;
   ag::Var pred = f.model->Forward(norm, /*training=*/false);
   *norm_out = norm;
   return capture.Finish(pred, {norm}, /*with_backward=*/false);
@@ -138,7 +138,7 @@ TEST(TimeSliceAnalysisTest, SlicedStepsSatisfyShiftProperty) {
     Tensor norm = scaler.Transform(
         w.Reshape({1, w.dim(0), w.dim(1), w.dim(2)}));
     ag::NoGradMode no_grad;
-    ir::GraphCapture capture(ir::SnapshotPlanModes());
+    ir::GraphCapture capture;
     ag::Var pred = f.model->Forward(norm, false);
     return capture.Finish(pred, {norm}, false);
   };
