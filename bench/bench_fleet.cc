@@ -225,7 +225,6 @@ void Run() {
     cfg.shards = spec.shards;
     cfg.workers = 2;
     cfg.max_batch = 8;
-    cfg.max_delay_us = 500;
     cfg.capacity = spec.requests + 16;
     cfg.deadline_us = 300'000'000;  // load phase must never deadline-shed
     return cfg;
@@ -372,7 +371,7 @@ void Run() {
     int64_t forecasts = 0;
     double cold_rps = 0.0, warm_rps = 0.0, speedup = 0.0;
     double p50 = 0.0, p95 = 0.0, p99 = 0.0;
-    int64_t output_hits = 0, shift_hits = 0, misses = 0;
+    int64_t output_hits = 0, misses = 0;
     int64_t stale = 0, bypass = 0, mismatches = 0;
   } stream_phase;
   {
@@ -448,7 +447,6 @@ void Run() {
     stream_phase.p95 = warm_stats.latency.p95();
     stream_phase.p99 = warm_stats.latency.p99();
     stream_phase.output_hits = warm_stats.stream_cache.output_hits;
-    stream_phase.shift_hits = warm_stats.stream_cache.shift_hits;
     stream_phase.misses = warm_stats.stream_cache.misses;
     stream_phase.stale = warm_stats.stream_cache.stale_rejected;
     stream_phase.bypass = warm_stats.stream_cache.bypass;
@@ -457,8 +455,7 @@ void Run() {
             << "): cold " << FormatFloat(stream_phase.cold_rps, 1)
             << " -> warm " << FormatFloat(stream_phase.warm_rps, 1)
             << " req/s (" << FormatFloat(stream_phase.speedup, 2)
-            << "x), hits " << stream_phase.output_hits << " output + "
-            << stream_phase.shift_hits << " shift, misses "
+            << "x), hits " << stream_phase.output_hits << " output, misses "
             << stream_phase.misses << ", stale " << stream_phase.stale
             << ", mismatches " << stream_phase.mismatches << "\n";
 
@@ -516,7 +513,6 @@ void Run() {
         << ", \"p95_us\": " << stream_phase.p95
         << ", \"p99_us\": " << stream_phase.p99
         << ", \"output_hits\": " << stream_phase.output_hits
-        << ", \"shift_hits\": " << stream_phase.shift_hits
         << ", \"misses\": " << stream_phase.misses
         << ", \"stale_rejected\": " << stream_phase.stale
         << ", \"bypass\": " << stream_phase.bypass
@@ -562,7 +558,7 @@ void Run() {
     failed = true;
   }
   if (serve::StreamCacheEnabled() &&
-      stream_phase.output_hits + stream_phase.shift_hits <= 0) {
+      stream_phase.output_hits <= 0) {
     std::cerr << "ERROR: streaming tiles never hit the stream cache\n";
     failed = true;
   }

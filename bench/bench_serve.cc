@@ -93,7 +93,7 @@ struct StreamingArm {
   double warm_rps = 0.0;
   double speedup = 0.0;
   double p50 = 0.0, p95 = 0.0, p99 = 0.0;  // warm-run latency
-  int64_t output_hits = 0, shift_hits = 0, cache_misses = 0;
+  int64_t output_hits = 0, cache_misses = 0;
   int64_t stale = 0, bypass = 0;
   /// Served-vs-offline byte mismatches, summed over cold + warm runs
   /// (the cache-on vs cache-off identity check).
@@ -189,14 +189,13 @@ void Run() {
   // response memcmp'd against `want` (the offline per-window reference for
   // the same session config).
   auto run_mode = [](const std::string& name, int64_t max_batch,
-                     int64_t max_delay_us, const std::string& ckpt_path,
+                     const std::string& ckpt_path,
                      const std::vector<Tensor>& wins,
                      const std::vector<Tensor>& want, int64_t requests,
                      const serve::SessionConfig& session) {
     serve::ServerOptions opts;
     opts.workers = 1;
     opts.batching.max_batch = max_batch;
-    opts.batching.max_delay = std::chrono::microseconds(max_delay_us);
     opts.batching.capacity = requests + 1;
     opts.default_deadline = std::chrono::seconds(300);
     opts.session = session;
@@ -233,11 +232,11 @@ void Run() {
   };
 
   std::vector<ModeResult> results;
-  results.push_back(run_mode("batch1", 1, 0, ckpt, windows, expected,
+  results.push_back(run_mode("batch1", 1, ckpt, windows, expected,
                              num_requests, serve::SessionConfig()));
-  results.push_back(run_mode("batch4", 4, 2000, ckpt, windows, expected,
+  results.push_back(run_mode("batch4", 4, ckpt, windows, expected,
                              num_requests, serve::SessionConfig()));
-  results.push_back(run_mode("batch16", 16, 2000, ckpt, windows, expected,
+  results.push_back(run_mode("batch16", 16, ckpt, windows, expected,
                              num_requests, serve::SessionConfig()));
 
   const double speedup = results.back().rps / results.front().rps;
@@ -293,7 +292,7 @@ void Run() {
       }
     }
 
-    ModeResult m = run_mode(simd::PrecisionName(tier), 16, 2000, heavy_ckpt,
+    ModeResult m = run_mode(simd::PrecisionName(tier), 16, heavy_ckpt,
                             windows, tier_expected, tier_requests, cfg);
     tier_modes.push_back(m);
     std::cout << "  " << m.name << ": " << FormatFloat(m.rps, 1)
@@ -438,7 +437,7 @@ void Run() {
             << " pool requests/call, " << FormatFloat(alloc_heap_per_call, 3)
             << " heap allocations/call\n";
 
-  // --- Streaming incremental inference -----------------------------------
+  // --- Streaming repeat reads (output memo) -------------------------------
   // Live streams: each pushes one observation per step into a StreamState
   // and requests `reads_per_obs` forecasts per advance (dashboards poll
   // more often than sensors report). Cache-off and cache-on runs submit
@@ -534,7 +533,6 @@ void Run() {
     arm.p95 = warm_stats.latency.p95();
     arm.p99 = warm_stats.latency.p99();
     arm.output_hits = warm_stats.stream_cache.output_hits;
-    arm.shift_hits = warm_stats.stream_cache.shift_hits;
     arm.cache_misses = warm_stats.stream_cache.misses;
     arm.stale = warm_stats.stream_cache.stale_rejected;
     arm.bypass = warm_stats.stream_cache.bypass;
@@ -559,24 +557,18 @@ void Run() {
               << FormatFloat(arm.cold_rps, 1) << " -> warm "
               << FormatFloat(arm.warm_rps, 1) << " req/s ("
               << FormatFloat(arm.speedup, 2) << "x), hits "
-              << arm.output_hits << " output + " << arm.shift_hits
-              << " shift, misses " << arm.cache_misses << ", stale "
+              << arm.output_hits << " output, misses " << arm.cache_misses
+              << ", stale "
               << arm.stale << ", p50 " << FormatFloat(arm.p50 / 1000.0, 2)
               << "ms, mismatches " << arm.mismatches << ", warm heap allocs "
               << arm.warm_heap_allocs << "\n";
   };
 
-  std::cout << "\nstreaming incremental inference (" << stream_count
+  std::cout << "\nstreaming repeat reads (" << stream_count
             << " streams, " << obs_steps << " obs steps each):\n";
   // Read-heavy ST-WA: the acceptance arm (dashboards poll between
   // observations, repeat reads are answered from the cached output).
   run_streaming("stwa_reads3", "ST-WA", 3);
-  // One read per observation: every request advances the window, so only
-  // the shift/invariant machinery can save work. Honest 1:1 arm.
-  run_streaming("stwa_reads1", "ST-WA", 1);
-  // S-WA keeps its parameter path time-invariant, so its decoder GEMMs
-  // are skipped on warm replays — the genuine shift-reuse showcase.
-  run_streaming("swa_reads1", "S-WA", 1);
   const double stream_speedup = stream_arms.front().speedup;
   std::cout << "streaming repeat-forecast speedup (cache on vs off): "
             << FormatFloat(stream_speedup, 2) << "x\n";
@@ -652,7 +644,6 @@ void Run() {
         << ", \"warm_rps\": " << a.warm_rps << ", \"speedup\": " << a.speedup
         << ", \"p50_us\": " << a.p50 << ", \"p95_us\": " << a.p95
         << ", \"p99_us\": " << a.p99 << ", \"output_hits\": " << a.output_hits
-        << ", \"shift_hits\": " << a.shift_hits
         << ", \"cache_misses\": " << a.cache_misses
         << ", \"stale_rejected\": " << a.stale
         << ", \"bypass\": " << a.bypass
@@ -704,10 +695,10 @@ void Run() {
                 << " hit stale-generation cache entries\n";
       std::exit(1);
     }
-    if (a.output_hits + a.shift_hits <= 0) {
+    if (a.output_hits <= 0) {
       std::cerr << "ERROR: streaming arm " << a.name
-                << " recorded zero cache hits — the incremental path "
-                   "never engaged\n";
+                << " recorded zero memo hits — repeat reads were "
+                   "recomputed\n";
       std::exit(1);
     }
   }

@@ -59,7 +59,9 @@ FleetProfileConfig ParseProfileLine(const std::vector<std::string>& tokens,
     } else if (key == "max_batch") {
       profile.max_batch = ParseInt(value, line);
     } else if (key == "max_delay_us") {
-      profile.max_delay_us = ParseInt(value, line);
+      STWA_FAIL("fleet config: max_delay_us was removed — batches no "
+                "longer wait for companions (an idle worker takes what is "
+                "queued); delete the option from line '", line, "'");
     } else if (key == "capacity") {
       profile.capacity = ParseInt(value, line);
     } else if (key == "deadline_us") {

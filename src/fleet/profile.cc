@@ -24,7 +24,7 @@ ModelProfile::ModelProfile(FleetProfileConfig config)
   STWA_CHECK(!config_.name.empty(), "fleet profile needs a name");
   STWA_CHECK(config_.workers >= 1, "profile '", config_.name,
              "' needs at least one worker per shard");
-  // One cache for all shards and generations (see header). Created before
+  // One memo for all shards and generations (see header). Created before
   // the first generation so BuildGeneration can inject it.
   if (serve::StreamCacheEnabled()) {
     stream_cache_ = std::make_shared<serve::StreamCache>(/*generation=*/1);
@@ -77,13 +77,12 @@ std::shared_ptr<Generation> ModelProfile::BuildGeneration(
   serve::ServerOptions options;
   options.workers = config_.workers;
   options.batching.max_batch = config_.max_batch;
-  options.batching.max_delay = std::chrono::microseconds(config_.max_delay_us);
   options.batching.capacity = config_.capacity;
   options.session.precision = config_.precision;
   options.default_deadline = std::chrono::microseconds(config_.deadline_us);
   options.serial_kernels = config_.serial_kernels;
-  // Shards share the profile cache and present the generation version as
-  // their cache tag; a null profile cache keeps shards cache-free (they
+  // Shards share the profile memo and present the generation version as
+  // their memo tag; a null profile memo keeps shards memo-free (they
   // must not each self-create one — stats would fold per shard).
   options.stream_cache = stream_cache_ != nullptr;
   options.cache = stream_cache_;
@@ -159,8 +158,8 @@ std::future<serve::Response> ModelProfile::ForecastTile(int64_t tile) {
   // Holding the reader lock across the enqueue is the drain guarantee:
   // the reload's writer lock cannot be acquired until this request is in
   // its queue, and the retire path executes queued requests. The tile
-  // index is the stream id: tiles advance one observation at a time, the
-  // exact overlap the stream cache reuses.
+  // index is the stream id, so repeat reads of an unchanged tile are
+  // answered from the output memo.
   std::shared_lock<std::shared_mutex> lock(gen_mutex_);
   return gen_->shards[static_cast<size_t>(shard)]->Submit(
       std::move(window), /*stream_id=*/tile, anchor);
@@ -179,10 +178,11 @@ ReloadResult ModelProfile::Reload(const std::string& path) {
   Stopwatch swap;
   {
     std::unique_lock<std::shared_mutex> lock(gen_mutex_);
-    // Flush the stream cache inside the swap's writer section: no
+    // Flush the output memo inside the swap's writer section: no
     // new-generation request can run before the flush, so no entry
     // computed on the old weights is ever served after it. Old-generation
-    // workers still draining present old tags and simply miss.
+    // workers still draining present old tags: they miss and their
+    // stores are dropped.
     if (stream_cache_) {
       stream_cache_->Invalidate(static_cast<uint64_t>(next->version));
     }

@@ -53,7 +53,6 @@ struct FleetProfileConfig {
   int workers = 1;
   /// Per-shard batching policy (serve/batching_queue.h).
   int64_t max_batch = 8;
-  int64_t max_delay_us = 2000;
   int64_t capacity = 4096;
   /// Default in-queue deadline for forecasts.
   int64_t deadline_us = 1'000'000;
@@ -144,12 +143,12 @@ class ModelProfile {
   std::vector<serve::ServerStats> ShardStats() const;
 
   /// All shards merged into one snapshot, including the profile-level
-  /// stream-cache counters (the profile owns the cache, so they are
+  /// memo counters (the profile owns the memo, so they are
   /// folded exactly once here, not per shard).
   serve::ServerStats Stats() const;
 
-  /// The profile's shared stream cache (null when globally disabled). One
-  /// cache spans all shards and survives reloads: worker outputs are
+  /// The profile's shared output memo (null when globally disabled). One
+  /// memo spans all shards and survives reloads: worker outputs are
   /// interchangeable by the determinism contract, and Reload invalidates
   /// by generation so entries never outlive their weights.
   serve::StreamCache* stream_cache() const { return stream_cache_.get(); }

@@ -308,43 +308,6 @@ const Tensor& ExecutionPlan::ReplayForward(const std::vector<Tensor>& feeds) {
   return root_->value;
 }
 
-void ExecutionPlan::RetainValues(const std::vector<ag::Node*>& keep) {
-  STWA_CHECK(!with_backward_,
-             "RetainValues is reserved for forward-only plans (training "
-             "liveness must stay exact)");
-  std::unordered_set<Node*> kept(keep.begin(), keep.end());
-  auto filter = [&](std::vector<Node*>& list) {
-    size_t w = 0;
-    for (Node* n : list) {
-      if (kept.find(n) == kept.end()) list[w++] = n;
-    }
-    list.resize(w);
-  };
-  for (auto& list : release_after_forward_) filter(list);
-}
-
-const Tensor& ExecutionPlan::ReplayForwardMasked(
-    const std::vector<Tensor>& feeds, const std::vector<uint8_t>& execute) {
-  STWA_CHECK(!with_backward_,
-             "ReplayForwardMasked is reserved for forward-only plans");
-  STWA_CHECK(execute.size() == forward_.size(),
-             "execute mask covers ", execute.size(), " steps, plan has ",
-             forward_.size());
-  BindFeeds(feeds);
-  const size_t count = forward_.size();
-  for (size_t i = 0; i < count; ++i) {
-    if (execute[i]) {
-      Node* n = forward_[i];
-      n->value = Kernel(n->kind).forward(*n);
-    }
-    for (Node* r : release_after_forward_[i]) {
-      r->value = Tensor();
-      r->grad = Tensor();
-    }
-  }
-  return root_->value;
-}
-
 std::vector<OpProfile> ExecutionPlan::Profile() const {
   std::vector<OpProfile> out;
   for (const OpProfile& p : profile_) {

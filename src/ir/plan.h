@@ -109,36 +109,9 @@ class ExecutionPlan {
   /// schedules have rows, and rows with zero recorded calls are omitted.
   std::vector<OpProfile> Profile() const;
 
-  /// Read-only view of the forward schedule (plan analyses, tests and the
-  /// benchmark harness walk it).
+  /// Read-only view of the forward schedule (the benchmark harness walks
+  /// it).
   const std::vector<ag::Node*>& forward_steps() const { return forward_; }
-
-  /// Captured feed leaves, in the order Finish() received them.
-  const std::vector<ag::Node*>& feed_nodes() const { return feed_nodes_; }
-
-  /// Every node recorded by the capture (plan analyses walk leaves too).
-  const std::vector<ag::NodePtr>& nodes() const { return nodes_; }
-
-  /// The plan's output node.
-  ag::Node* root_node() const { return root_.get(); }
-
-  /// Excludes `keep` from every release list, so those nodes' values
-  /// survive across replays (forward-only plans). The time-slice serving
-  /// path retains window-invariant steps (computed once, reused every
-  /// call) and sliced frontier steps (harvested into the stream cache
-  /// after each cold replay). Idempotent; never applies to plans with a
-  /// backward schedule (gradient liveness must stay exact).
-  void RetainValues(const std::vector<ag::Node*>& keep);
-
-  /// Forward-only replay that executes only the steps whose
-  /// `execute[i]` is nonzero (parallel to forward_steps()). Skipped steps
-  /// keep whatever value their node already holds — the caller guarantees
-  /// it is current (retained invariant values, cache-spliced sliced
-  /// values). Every release list still runs, so buffer lifetimes match
-  /// a full replay; releasing a never-computed node just clears an
-  /// empty tensor. Returns the root's value.
-  const Tensor& ReplayForwardMasked(const std::vector<Tensor>& feeds,
-                                    const std::vector<uint8_t>& execute);
 
  private:
   friend class GraphCapture;

@@ -184,12 +184,16 @@ Tensor FwdHuberElem(const Node& n) {
   return ops::UnaryMap(P(n, 0), FwdHuberFn{n.attrs.scalar});
 }
 Tensor FwdDetach(const Node& n) { return P(n, 0); }
+thread_local uint64_t t_rng_draws = 0;
+
 Tensor FwdRandn(const Node& n) {
   STWA_CHECK(n.attrs.rng != nullptr, "randn op lost its generator");
+  ++t_rng_draws;
   return Tensor::Randn(n.attrs.shape, *n.attrs.rng);
 }
 Tensor FwdDropoutMask(const Node& n) {
   STWA_CHECK(n.attrs.rng != nullptr, "dropout op lost its generator");
+  ++t_rng_draws;
   const float p = n.attrs.scalar;
   const float scale = 1.0f / (1.0f - p);
   Tensor mask = Tensor::Uninit(n.attrs.shape);
@@ -574,6 +578,8 @@ std::array<OpKernelInfo, kNumOpKinds> BuildTable() {
 }
 
 }  // namespace
+
+uint64_t RngDrawCount() { return t_rng_draws; }
 
 const OpKernelInfo& Kernel(OpKind kind) {
   static const std::array<OpKernelInfo, kNumOpKinds> table = BuildTable();

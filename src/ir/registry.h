@@ -17,6 +17,7 @@
 #ifndef STWA_IR_REGISTRY_H_
 #define STWA_IR_REGISTRY_H_
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -65,6 +66,12 @@ struct OpKernelInfo {
 
 /// Dispatch-table lookup. Aborts on an unregistered kind.
 const OpKernelInfo& Kernel(OpKind kind);
+
+/// Sampling-kernel executions (kRandn, kDropoutMask) on the calling thread
+/// so far, eager traces and plan replays alike. Reading it around a
+/// forward tells whether that forward drew from an rng, i.e. whether its
+/// output is a function of the input alone.
+uint64_t RngDrawCount();
 
 }  // namespace ir
 }  // namespace stwa

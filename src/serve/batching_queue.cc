@@ -1,6 +1,7 @@
 #include "serve/batching_queue.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "common/check.h"
 
@@ -8,6 +9,8 @@ namespace stwa {
 namespace serve {
 
 namespace {
+
+std::atomic<bool> g_hold_batches{false};
 
 double MicrosSince(std::chrono::steady_clock::time_point since,
                    std::chrono::steady_clock::time_point now) {
@@ -88,25 +91,19 @@ std::vector<Request> BatchingQueue::NextBatch() {
       cv_.wait(lock);
       continue;
     }
-    const bool full = static_cast<int64_t>(queue_.size()) >=
-                      options_.max_batch;
-    const auto flush_at = queue_.front().enqueue_time + options_.max_delay;
-    if (full || now >= flush_at || shutdown_) {
-      const int64_t take = std::min<int64_t>(
-          static_cast<int64_t>(queue_.size()), options_.max_batch);
-      std::vector<Request> batch;
-      batch.reserve(static_cast<size_t>(take));
-      for (int64_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-      return batch;
+    if (g_hold_batches.load() && !shutdown_) {
+      cv_.wait_for(lock, std::chrono::milliseconds(1));
+      continue;
     }
-    // Wake at whichever edge comes first: the flush point of the oldest
-    // request or the earliest deadline (so expiry sheds promptly).
-    auto wake_at = flush_at;
-    for (const Request& r : queue_) wake_at = std::min(wake_at, r.deadline);
-    cv_.wait_until(lock, wake_at);
+    const int64_t take = std::min<int64_t>(
+        static_cast<int64_t>(queue_.size()), options_.max_batch);
+    std::vector<Request> batch;
+    batch.reserve(static_cast<size_t>(take));
+    for (int64_t i = 0; i < take; ++i) {
+      batch.push_back(std::move(queue_.front()));
+      queue_.pop_front();
+    }
+    return batch;
   }
 }
 
@@ -132,6 +129,12 @@ int64_t BatchingQueue::queue_depth() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return static_cast<int64_t>(queue_.size());
 }
+
+namespace internal {
+
+void HoldBatchesForTest(bool hold) { g_hold_batches.store(hold); }
+
+}  // namespace internal
 
 }  // namespace serve
 }  // namespace stwa

@@ -1,12 +1,13 @@
 // Dynamic micro-batching of concurrent forecast requests.
 //
 // Producers Submit() a request and get a future; consumers (server worker
-// threads) call NextBatch(), which coalesces queued requests into batches
-// bounded by max_batch and max_delay: a batch is released as soon as
-// max_batch requests are waiting, or when the oldest request has waited
-// max_delay, whichever comes first. Overload is handled by shedding, not
-// queueing without bound: a Submit beyond `capacity` and any request
-// whose deadline expires while still queued are answered immediately with
+// threads) call NextBatch(). The queue is work-conserving: an idle worker
+// takes everything queued, up to max_batch, at once and never waits for
+// companions. Batches therefore form only while every worker is busy —
+// exactly when amortising a forward across requests pays — and a request
+// reaching an idle server starts executing at once. Overload is handled by
+// shedding, not queueing without bound: a Submit beyond `capacity` and any
+// request whose deadline expires while still queued are answered at once with
 // `degraded = true` and no forecast. Requests that execute are answered
 // with the forecast; batching never changes their bytes (per-sample
 // kernel independence, see DESIGN.md "Serving").
@@ -53,11 +54,11 @@ struct Request {
   int64_t id = 0;
   /// Input window [N, H, F], raw scale.
   Tensor window;
-  /// Stream identity for incremental serving (serve/stream_cache.h):
-  /// stream_id >= 0 marks the request as belonging to a live stream whose
-  /// window advances one step per observation; `anchor` is the stream
-  /// position of this window (StreamState::anchor()). stream_id < 0 is a
-  /// plain one-shot forecast — no cache interaction.
+  /// Stream identity for the output memo (serve/stream_cache.h):
+  /// stream_id >= 0 marks the request as belonging to a live stream;
+  /// `anchor` is the stream position of this window
+  /// (StreamState::anchor()). stream_id < 0 is a plain one-shot
+  /// forecast — no memo interaction.
   int64_t stream_id = -1;
   int64_t anchor = -1;
   std::chrono::steady_clock::time_point enqueue_time;
@@ -70,9 +71,6 @@ struct Request {
 struct BatchingOptions {
   /// Largest micro-batch handed to a worker.
   int64_t max_batch = 8;
-  /// Longest a request may wait for companions before its batch is
-  /// released anyway.
-  std::chrono::microseconds max_delay{2000};
   /// Queue bound; Submits beyond it are shed immediately.
   int64_t capacity = 1024;
 };
@@ -89,15 +87,15 @@ class BatchingQueue {
 
   /// Enqueues a stream request (see Request::stream_id). Identical
   /// batching/shedding semantics; the stream identity rides along so the
-  /// executing worker can take the incremental path.
+  /// executing worker can consult the output memo.
   std::future<Response> Submit(Tensor window, int64_t stream_id,
                                int64_t anchor,
                                std::chrono::microseconds deadline_budget);
 
-  /// Blocks until a batch is ready (per the policy above) and pops it.
-  /// Expired requests are shed (their futures resolved) as they are
-  /// encountered. Returns an empty vector only after Shutdown() once the
-  /// queue has drained.
+  /// Blocks until at least one request is queued, then pops up to
+  /// max_batch of them. Expired requests are shed (their futures
+  /// resolved) first. Returns an empty vector only after Shutdown() once
+  /// the queue has drained.
   std::vector<Request> NextBatch();
 
   /// Wakes all waiters; NextBatch returns remaining requests, then empty.
@@ -120,6 +118,15 @@ class BatchingQueue {
   int64_t submitted_ = 0;
   int64_t shed_ = 0;
 };
+
+namespace internal {
+
+/// Test seam: while held, NextBatch of every queue releases nothing until
+/// that queue is shut down (its drain still runs), so a test can keep
+/// requests queued across an event such as a hot-reload swap.
+void HoldBatchesForTest(bool hold);
+
+}  // namespace internal
 
 }  // namespace serve
 }  // namespace stwa

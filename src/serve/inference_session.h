@@ -20,7 +20,6 @@
 
 #include "data/scaler.h"
 #include "ir/plan.h"
-#include "ir/time_slice.h"
 #include "serve/checkpoint.h"
 #include "serve/stream_cache.h"
 #include "simd/lowp.h"
@@ -50,6 +49,9 @@ bool DatasetFreeModel(const std::string& name);
 /// Minimal dataset carrying only the dimensions the dataset-free models
 /// read (num_sensors / num_features).
 data::TrafficDataset StubDataset(const ServingInfo& info);
+
+/// True when every element of `t` is finite (no NaN, no Inf).
+bool AllFinite(const Tensor& t);
 
 /// One frozen model + scaler behind a raw-in/raw-out forecast call.
 class InferenceSession {
@@ -84,19 +86,31 @@ class InferenceSession {
   /// eager.
   Tensor Forecast(const Tensor& raw_window);
 
-  /// Forecast for one live stream with cross-call reuse. `raw_window` is
-  /// a single window ([N, H, F] or [1, N, H, F]); `stream_id` names the
-  /// stream, `anchor` its position (StreamState::anchor()), `generation`
-  /// the weights generation the caller serves (tags new entries, gates
-  /// lookups). Outputs are byte-identical to Forecast on the same window —
-  /// reuse paths (see serve/stream_cache.h) are memcmp-gated and splice
-  /// columns whose bits match a cold compute by the kernel column-
-  /// independence contract. Falls back to Forecast (counting a bypass)
-  /// when `cache` is null, plans are off/unplannable, or the plan samples
-  /// rng.
+  /// Forecast for one live stream through the output memo
+  /// (serve/stream_cache.h). `raw_window` is a single window ([N, H, F]
+  /// or [1, N, H, F]); `stream_id` names the stream, `anchor` its position
+  /// (StreamState::anchor()), `generation` the weights generation the
+  /// caller serves (tags new entries, gates lookups). A repeat of the
+  /// memoised window at the same anchor is answered by a copy; anything
+  /// else runs Forecast and memoises the result. Byte-identical to
+  /// Forecast on the same window either way. A null `cache` or negative
+  /// `stream_id` is a plain Forecast; a forward that draws from an rng
+  /// or yields a non-finite value is never memoised (counted bypass).
   Tensor ForecastStream(const Tensor& raw_window, int64_t stream_id,
                         int64_t anchor, StreamCache* cache,
                         uint64_t generation);
+
+  /// The two halves of ForecastStream, for callers that batch the misses
+  /// (serve::Server). LookupMemo sets *out to the memoised [N, U, F]
+  /// answer and returns true on an output hit. StoreMemo memoises
+  /// `output`, Forecast's answer to `raw_window`, or counts a bypass when
+  /// it must not be memoised.
+  bool LookupMemo(const Tensor& raw_window, int64_t stream_id,
+                  int64_t anchor, StreamCache* cache, uint64_t generation,
+                  Tensor* out);
+  void StoreMemo(const Tensor& raw_window, const Tensor& output,
+                 int64_t stream_id, int64_t anchor, StreamCache* cache,
+                 uint64_t generation);
 
   const ServingInfo& info() const { return info_; }
   const data::StandardScaler& scaler() const { return scaler_; }
@@ -129,42 +143,20 @@ class InferenceSession {
   /// even if a global toggle flips mid-stream.
   bool use_plan_;
   int64_t forward_count_ = 0;
+  /// False once a forward of this session drew from an rng: its outputs
+  /// then depend on more than the window, so they must not be memoised.
+  bool deterministic_ = true;
   /// Forward-only plans keyed by batch size (all other input dims are
   /// fixed by the checkpoint). Null entry: shape not plannable, stay
   /// eager. Sessions are single-threaded, so no lock.
   std::unordered_map<int64_t, std::unique_ptr<ir::ExecutionPlan>> plans_;
 
-  /// Time-slice state of the batch-1 plan (ForecastStream). Populated by
-  /// the capture that creates the plan — the analysis reads capture-live
-  /// shapes — and immutable afterwards.
-  struct StreamPlan {
-    /// Analysis ran (whether or not it proved feasible).
-    bool analyzed = false;
-    /// Invariant step values are resident on the plan (retained since the
-    /// capture trace), so masked replays may skip those steps.
-    bool invariant_warm = false;
-    ir::TimeSliceInfo info;
-    std::unique_ptr<ir::ColumnProgram> columns;
-    /// Capture-time shapes of the frontier values — foreign cache entries
-    /// must match them before a splice is attempted.
-    std::vector<Shape> frontier_shapes;
-    /// Execute-everything mask (defensive cold replay).
-    std::vector<uint8_t> all_mask;
-  };
-  StreamPlan stream_;
-
   /// Reused elementwise staging (data/scaler.h Into variants): zero
   /// steady-state allocations on the forecast hot path. The use_count
   /// guard automatically falls back to a fresh buffer whenever a previous
-  /// result is still referenced (e.g. held by the stream cache).
+  /// result is still referenced (e.g. held by a caller).
   Tensor norm_staging_;
   Tensor out_staging_;
-
-  /// Runs the time-slice analysis on a freshly captured batch-1 plan
-  /// (values still live from the trace), builds the column program and
-  /// applies value retention. Harvesting of the capture's own values is
-  /// the caller's job.
-  void AnalyzeStreamPlan(ir::ExecutionPlan* plan);
 };
 
 }  // namespace serve

@@ -110,14 +110,16 @@ std::string FormatStatsResponse(const ServerStats& stats) {
   std::ostringstream oss;
   oss << "stats submitted=" << stats.submitted
       << " completed=" << stats.completed << " shed=" << stats.shed
+      << " non_finite=" << stats.non_finite
       << " batches=" << stats.batches << " mean_batch="
       << FormatFloat(stats.mean_batch, 2)
       << " protocol_errors=" << stats.protocol_errors
       << " p50_us=" << FormatMicros(stats.latency.p50())
       << " p95_us=" << FormatMicros(stats.latency.p95())
       << " p99_us=" << FormatMicros(stats.latency.p99())
+      << " queue_p50_us=" << FormatMicros(stats.queue_wait.p50())
+      << " queue_p99_us=" << FormatMicros(stats.queue_wait.p99())
       << " sc_output_hits=" << stats.stream_cache.output_hits
-      << " sc_shift_hits=" << stats.stream_cache.shift_hits
       << " sc_misses=" << stats.stream_cache.misses
       << " sc_stale=" << stats.stream_cache.stale_rejected
       << " sc_bypass=" << stats.stream_cache.bypass
@@ -198,9 +200,9 @@ std::optional<std::string> LineSession::Handle(const std::string& line,
       }
       Tensor window = state_.Window().Reshape(
           {state_.num_sensors(), state_.history(), state_.features()});
-      // Stream-tagged submit: consecutive forecasts from this connection
-      // advance one observation at a time, the exact shape the stream
-      // cache reuses. Falls back transparently when the cache is off.
+      // Stream-tagged submit: a repeat forecast of this connection's
+      // unchanged window is answered from the output memo. Falls back
+      // transparently when the memo is off.
       Response resp =
           server_.Submit(std::move(window), stream_id_, state_.anchor())
               .get();

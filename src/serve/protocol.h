@@ -11,8 +11,10 @@
 //   ok                          observation accepted
 //   forecast ok=1 degraded=0 n=<N> u=<U> <N*U*F floats, sensor-major>
 //   forecast ok=0 degraded=<0|1> err=<reason-with-underscores>
-//   stats submitted=... completed=... shed=... batches=... mean_batch=...
-//         protocol_errors=... p50_us=... p95_us=... p99_us=... (single line)
+//                               (degraded=1: shed, or err=non_finite_output)
+//   stats submitted=... completed=... shed=... non_finite=... batches=...
+//         mean_batch=... protocol_errors=... p50_us=... p95_us=... p99_us=...
+//         queue_p50_us=... queue_p99_us=... sc_...=... (single line)
 //   err <reason>                parse or protocol error
 //   bye                         reply to quit
 //
@@ -95,7 +97,7 @@ class LineSession {
 
   StreamState& state() { return state_; }
 
-  /// Process-unique stream id this session submits under (stream cache
+  /// Process-unique stream id this session submits under (output memo
   /// key; see serve/stream_cache.h).
   int64_t stream_id() const { return stream_id_; }
 

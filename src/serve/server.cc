@@ -1,6 +1,5 @@
 #include "serve/server.h"
 
-#include <algorithm>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -26,11 +25,13 @@ void ServerStats::Merge(const ServerStats& other) {
   submitted += other.submitted;
   completed += other.completed;
   shed += other.shed;
+  non_finite += other.non_finite;
   batches += other.batches;
   protocol_errors += other.protocol_errors;
   mean_batch =
       batches > 0 ? batch_requests / static_cast<double>(batches) : 0.0;
   latency.Merge(other.latency);
+  queue_wait.Merge(other.queue_wait);
   per_worker.Merge(other.per_worker);
   stream_cache.Merge(other.stream_cache);
 }
@@ -61,8 +62,8 @@ Server::Server(const std::string& checkpoint_path,
 }
 
 void Server::Start(int workers) {
-  // Resolve the stream cache before any worker can pop a request. The env
-  // gate wins over both the options flag and an injected cache, so
+  // Resolve the memo before any worker can pop a request. The env gate
+  // wins over both the options flag and an injected memo, so
   // STWA_NO_STREAM_CACHE=1 disables the whole path even under the fleet.
   if (options_.stream_cache && StreamCacheEnabled()) {
     if (options_.cache) {
@@ -136,66 +137,86 @@ void Server::WorkerLoop(Worker& worker) {
                          inf.num_features;
   const int64_t out_sample = inf.num_sensors * inf.settings.horizon *
                              inf.num_features;
+  const Shape out_shape{inf.num_sensors, inf.settings.horizon,
+                        inf.num_features};
   // Staging batch reused across iterations per batch size (pooled buffer;
   // re-allocated only when the batch size changes or the previous buffer
   // is still referenced by an in-flight tensor).
   Tensor staging;
+  // Per-batch scratch, reused: each request's answer, and the positions
+  // that need the model.
+  std::vector<Tensor> answers;
+  std::vector<int64_t> misses;
+  auto memo = [&](const Request& r) {
+    return cache_ != nullptr && r.stream_id >= 0;
+  };
   for (;;) {
     std::vector<Request> batch = queue_.NextBatch();
     if (batch.empty()) return;  // shutdown + drained
     const auto exec_start = std::chrono::steady_clock::now();
     const int64_t b = static_cast<int64_t>(batch.size());
-    // A stream-tagged request executing alone takes the incremental path;
-    // stream requests that ride a larger batch fall back to the stacked
-    // forward (still correct — the cache is consulted next time they
-    // arrive alone) and are counted as bypasses.
-    const bool incremental =
-        cache_ != nullptr && b == 1 && batch[0].stream_id >= 0;
-    if (!incremental) {
-      const Shape batch_shape{b, inf.num_sensors, inf.settings.history,
+    // Repeat stream windows are answered from the memo, whatever batch
+    // they ride in; only the rest is stacked into the forward.
+    answers.assign(static_cast<size_t>(b), Tensor());
+    misses.clear();
+    for (int64_t i = 0; i < b; ++i) {
+      const Request& r = batch[i];
+      if (!memo(r) ||
+          !worker.session->LookupMemo(r.window, r.stream_id, r.anchor,
+                                      cache_.get(), options_.generation,
+                                      &answers[i])) {
+        misses.push_back(i);
+      }
+    }
+
+    std::string failure;
+    const int64_t m = static_cast<int64_t>(misses.size());
+    if (m > 0) {
+      const Shape batch_shape{m, inf.num_sensors, inf.settings.history,
                               inf.num_features};
       if (staging.shape() != batch_shape || staging.use_count() > 1) {
         staging = Tensor::Uninit(batch_shape);
       }
-      for (int64_t i = 0; i < b; ++i) {
-        std::memcpy(staging.data() + i * sample, batch[i].window.data(),
+      for (int64_t k = 0; k < m; ++k) {
+        std::memcpy(staging.data() + k * sample,
+                    batch[misses[k]].window.data(),
                     sizeof(float) * static_cast<size_t>(sample));
-        if (cache_ && batch[i].stream_id >= 0) cache_->CountBypass();
       }
-    }
-
-    Response failure;
-    Tensor out;
-    try {
-      if (incremental) {
-        out = worker.session->ForecastStream(
-            batch[0].window, batch[0].stream_id, batch[0].anchor,
-            cache_.get(), options_.generation);  // [N, U, F] raw
-      } else {
-        out = worker.session->Forecast(staging);  // [B, N, U, F] raw
+      try {
+        const Tensor out = worker.session->Forecast(staging);  // [M,N,U,F]
+        for (int64_t k = 0; k < m; ++k) {
+          Tensor forecast = Tensor::Uninit(out_shape);
+          std::memcpy(forecast.data(), out.data() + k * out_sample,
+                      sizeof(float) * static_cast<size_t>(out_sample));
+          const Request& r = batch[misses[k]];
+          if (memo(r)) {
+            worker.session->StoreMemo(r.window, forecast, r.stream_id,
+                                      r.anchor, cache_.get(),
+                                      options_.generation);
+          }
+          answers[misses[k]] = std::move(forecast);
+        }
+      } catch (const std::exception& e) {
+        failure = e.what();
+        for (int64_t k = 0; k < m; ++k) {
+          if (memo(batch[misses[k]])) cache_->CountBypass();
+        }
       }
-    } catch (const std::exception& e) {
-      failure.ok = false;
-      failure.error = e.what();
     }
     const auto exec_end = std::chrono::steady_clock::now();
     const double compute_micros = MicrosBetween(exec_start, exec_end);
 
     for (int64_t i = 0; i < b; ++i) {
-      Response resp = failure;
-      if (failure.error.empty()) {
-        if (incremental) {
-          // Already [N, U, F]; hand the tensor over without a copy (cache
-          // hits share the cached buffer — safe, responses are read-only).
-          resp.forecast = std::move(out);
-        } else {
-          Tensor forecast = Tensor::Uninit(
-              {inf.num_sensors, inf.settings.horizon, inf.num_features});
-          std::memcpy(forecast.data(), out.data() + i * out_sample,
-                      sizeof(float) * static_cast<size_t>(out_sample));
-          resp.forecast = std::move(forecast);
-        }
+      Response resp;
+      Tensor& answer = answers[i];
+      if (answer.empty()) {
+        resp.error = failure;
+      } else if (!AllFinite(answer)) {
+        resp.degraded = true;
+        resp.error = "non_finite_output";
+      } else {
         resp.ok = true;
+        resp.forecast = std::move(answer);
       }
       resp.queue_micros = MicrosBetween(batch[i].enqueue_time, exec_start);
       resp.compute_micros = compute_micros;
@@ -206,9 +227,12 @@ void Server::WorkerLoop(Worker& worker) {
       // its own request already counted in Stats().
       {
         std::lock_guard<std::mutex> lock(worker.stats_mutex);
-        if (failure.error.empty()) {
+        worker.queue_wait.Record(resp.queue_micros);
+        if (resp.ok) {
           worker.latency.Record(total);
           ++worker.completed;
+        } else if (resp.degraded) {
+          ++worker.non_finite;
         }
       }
       batch[i].promise.set_value(std::move(resp));
@@ -229,17 +253,19 @@ ServerStats Server::Stats() const {
     const auto& worker = workers_[i];
     std::lock_guard<std::mutex> lock(worker->stats_mutex);
     stats.completed += worker->completed;
+    stats.non_finite += worker->non_finite;
     stats.batches += worker->batches;
     stats.mean_batch += static_cast<double>(worker->batch_requests);
     stats.latency.Merge(worker->latency);
+    stats.queue_wait.Merge(worker->queue_wait);
     stats.per_worker.Get("w" + std::to_string(i)).Merge(worker->latency);
   }
   stats.mean_batch =
       stats.batches > 0 ? stats.mean_batch / static_cast<double>(
                                                  stats.batches)
                         : 0.0;
-  // Only the cache's owner folds its counters — a fleet profile shares
-  // one cache across shards and folds it exactly once at profile level.
+  // Only the memo's owner folds its counters — a fleet profile shares
+  // one memo across shards and folds it exactly once at profile level.
   if (cache_owner_ && cache_) stats.stream_cache = cache_->Stats();
   return stats;
 }

@@ -2,10 +2,14 @@
 //
 // N worker threads sit behind one BatchingQueue. Each worker owns a
 // private InferenceSession opened from the same checkpoint (identical
-// weights, no shared mutable model state), pops a micro-batch, stacks the
-// request windows into one [B, N, H, F] tensor, runs a single forward
-// pass on the shared execution runtime (src/runtime), and resolves each
-// request's future with its row of the output. Because every kernel in
+// weights, no shared mutable model state) and pops a micro-batch. Stream
+// requests whose window the output memo (serve/stream_cache.h) already
+// answered are resolved from it; the remaining windows are stacked into
+// one [B, N, H, F] tensor, run through a single forward pass on the
+// shared execution runtime (src/runtime), and each request's future is
+// resolved with its row of the output. A forecast holding any NaN or Inf
+// is never served: it is answered ok=0, degraded=1 (non_finite_output)
+// and counted. Because every kernel in
 // the library computes each output element from one sample's data in a
 // fixed order, a request's forecast bytes are independent of the batch it
 // rode in, the worker that ran it, and the thread count — see DESIGN.md
@@ -46,18 +50,17 @@ struct ServerOptions {
   /// per-kernel pool dispatch is pure contention there. Outputs are
   /// bit-identical either way (ParallelFor determinism contract).
   bool serial_kernels = false;
-  /// Per-stream activation cache for incremental streaming inference
-  /// (serve/stream_cache.h). When enabled, stream-tagged Submits that
-  /// execute as singleton batches take InferenceSession::ForecastStream —
-  /// byte-identical to the cold path, memcmp-enforced. STWA_NO_STREAM_CACHE=1
-  /// wins over this flag.
+  /// Per-stream output memo (serve/stream_cache.h). When enabled, every
+  /// stream-tagged Submit, whatever batch it rides in, is answered from
+  /// the memo when its window repeats — byte-identical to the cold path,
+  /// memcmp-enforced. STWA_NO_STREAM_CACHE=1 wins over this flag.
   bool stream_cache = true;
-  /// Externally owned cache (the fleet layer shares one cache across a
+  /// Externally owned memo (the fleet layer shares one memo across a
   /// profile's shards and reload generations). Null + stream_cache on:
-  /// the server creates and owns a private cache, and folds its stats
+  /// the server creates and owns a private memo, and folds its stats
   /// into Stats(). Non-null: the owner folds stats itself.
   std::shared_ptr<StreamCache> cache;
-  /// Weights generation this server serves (tags cache entries; the fleet
+  /// Weights generation this server serves (tags memo entries; the fleet
   /// layer passes the model version so reloads never read stale entries).
   uint64_t generation = 1;
 };
@@ -67,6 +70,9 @@ struct ServerStats {
   int64_t submitted = 0;
   int64_t completed = 0;
   int64_t shed = 0;
+  /// Forecasts withheld because they held a NaN or Inf (answered ok=0,
+  /// degraded=1, err=non_finite_output).
+  int64_t non_finite = 0;
   int64_t batches = 0;
   /// Malformed client lines rejected before reaching a worker (counted by
   /// the transport's LineSession, not by the server core).
@@ -75,11 +81,14 @@ struct ServerStats {
   double mean_batch = 0.0;
   /// End-to-end latency (submit -> response) of completed requests.
   metrics::LatencyHistogram latency;
+  /// Time from submit until a worker took the request's batch, for every
+  /// request a worker took (shed requests excluded).
+  metrics::LatencyHistogram queue_wait;
   /// The same completions keyed per worker ("w0", "w1", ...) — per-worker
   /// percentiles from one mergeable struct.
   metrics::LabeledHistograms per_worker;
-  /// Stream-cache counters (zeros when the cache is off or owned
-  /// elsewhere — the owner folds them exactly once).
+  /// Memo counters (zeros when the memo is off or owned elsewhere — the
+  /// owner folds them exactly once).
   StreamCacheStats stream_cache;
 
   /// Folds `other` into this snapshot (counters add, histograms merge,
@@ -115,12 +124,12 @@ class Server {
 
   /// Enqueues a forecast for one live stream: `stream_id` names the
   /// stream, `anchor` is its window position (StreamState::anchor()).
-  /// When the stream cache is on and the request executes alone, the
-  /// worker takes the incremental path — same bytes, fewer flops.
+  /// When the memo is on, a repeat of the stream's last window is
+  /// answered from it — same bytes, no model work.
   std::future<Response> Submit(Tensor window, int64_t stream_id,
                                int64_t anchor);
 
-  /// The stream cache this server consults (null when disabled).
+  /// The output memo this server consults (null when disabled).
   StreamCache* stream_cache() const { return cache_.get(); }
 
   /// Merged statistics snapshot (histograms merged across workers).
@@ -138,7 +147,9 @@ class Server {
     std::thread thread;
     mutable std::mutex stats_mutex;
     metrics::LatencyHistogram latency;
+    metrics::LatencyHistogram queue_wait;
     int64_t completed = 0;
+    int64_t non_finite = 0;
     int64_t batches = 0;
     int64_t batch_requests = 0;
   };
@@ -148,8 +159,8 @@ class Server {
 
   ServerOptions options_;
   BatchingQueue queue_;
-  /// Stream cache in use: options_.cache when provided, else a private
-  /// one (created when options_.stream_cache and the env gate allow it).
+  /// Memo in use: options_.cache when provided, else a private one
+  /// (created when options_.stream_cache and the env gate allow it).
   std::shared_ptr<StreamCache> cache_;
   /// True when cache_ was self-created — then Stats() folds its counters.
   bool cache_owner_ = false;

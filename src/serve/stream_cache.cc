@@ -1,6 +1,6 @@
 #include "serve/stream_cache.h"
 
-#include <utility>
+#include <cstring>
 
 #include "common/string_util.h"
 
@@ -36,38 +36,55 @@ void StreamCacheStats::Merge(const StreamCacheStats& other) {
   bytes += other.bytes;
 }
 
-int64_t StreamCache::EntryBytes(const Entry& e) const {
-  int64_t elems = e.window.size() + e.output.size();
-  for (const Tensor& s : e.segments) elems += s.size();
-  return elems * static_cast<int64_t>(sizeof(float));
-}
-
-bool StreamCache::Lookup(int64_t stream_id, uint64_t generation,
-                         simd::Precision precision, Entry* out) {
+bool StreamCache::Lookup(int64_t stream_id, int64_t anchor,
+                         uint64_t generation, simd::Precision precision,
+                         const float* window, int64_t window_size,
+                         float* out, int64_t output_size) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(stream_id);
   if (it == entries_.end()) return false;
-  if (it->second.generation != generation ||
-      it->second.precision != precision) {
+  const Entry& e = it->second;
+  if (e.generation != generation || e.precision != precision) {
     ++stats_.stale_rejected;
     return false;
   }
-  *out = it->second;
+  if (e.anchor != anchor ||
+      static_cast<int64_t>(e.data.size()) != window_size + output_size ||
+      std::memcmp(e.data.data(), window,
+                  sizeof(float) * static_cast<size_t>(window_size)) != 0) {
+    return false;
+  }
+  std::memcpy(out, e.data.data() + window_size,
+              sizeof(float) * static_cast<size_t>(output_size));
+  ++stats_.output_hits;
   return true;
 }
 
-void StreamCache::Update(int64_t stream_id, Entry entry) {
+void StreamCache::Store(int64_t stream_id, int64_t anchor,
+                        uint64_t generation, simd::Precision precision,
+                        const float* window, int64_t window_size,
+                        const float* output, int64_t output_size) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(stream_id);
-  if (it != entries_.end()) {
-    stats_.bytes -= EntryBytes(it->second);
-    it->second = std::move(entry);
-    stats_.bytes += EntryBytes(it->second);
-    return;
-  }
-  stats_.bytes += EntryBytes(entry);
-  entries_.emplace(stream_id, std::move(entry));
-  stats_.entries = static_cast<int64_t>(entries_.size());
+  ++stats_.misses;
+  if (generation != generation_) return;
+  Entry& e = entries_[stream_id];
+  stats_.bytes -= static_cast<int64_t>(sizeof(float) * e.data.size());
+  e.anchor = anchor;
+  e.generation = generation;
+  e.precision = precision;
+  // resize() keeps the capacity of a refreshed entry: no allocation once
+  // every stream has been seen.
+  e.data.resize(static_cast<size_t>(window_size + output_size));
+  std::memcpy(e.data.data(), window,
+              sizeof(float) * static_cast<size_t>(window_size));
+  std::memcpy(e.data.data() + window_size, output,
+              sizeof(float) * static_cast<size_t>(output_size));
+  stats_.bytes += static_cast<int64_t>(sizeof(float) * e.data.size());
+}
+
+void StreamCache::CountBypass() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++stats_.bypass;
 }
 
 void StreamCache::Invalidate(uint64_t new_generation) {
@@ -75,33 +92,12 @@ void StreamCache::Invalidate(uint64_t new_generation) {
   entries_.clear();
   generation_ = new_generation;
   ++stats_.flushes;
-  stats_.entries = 0;
   stats_.bytes = 0;
 }
 
 uint64_t StreamCache::generation() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return generation_;
-}
-
-void StreamCache::CountOutputHit() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.output_hits;
-}
-
-void StreamCache::CountShiftHit() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.shift_hits;
-}
-
-void StreamCache::CountMiss() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.misses;
-}
-
-void StreamCache::CountBypass() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.bypass;
 }
 
 StreamCacheStats StreamCache::Stats() const {

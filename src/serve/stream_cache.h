@@ -1,22 +1,22 @@
-// Per-stream activation cache for incremental sliding-window inference.
+// Per-stream output memo for repeat forecast reads.
 //
-// Live forecast streams advance one observation at a time, so consecutive
-// windows of one stream overlap in H-1 of their H columns. The cache holds,
-// per stream id:
-//
-//   * the raw window and raw-scale output of the last answered forecast —
-//     a repeat request at the same anchor whose window bytes still match
-//     is answered without touching the model (output hit);
-//   * the full-window values of the plan's sliced frontier steps
-//     (ir/time_slice.h) — when the next request's anchor is exactly one
-//     step ahead and the H-1 overlapping columns memcmp-match, the session
-//     recomputes only the newest column, splices it onto these values and
-//     replays just the window-global tail (shift hit).
+// Dashboards poll a live stream more often than its sensors report, so
+// the same window is often asked for several times in a row. The memo
+// holds, per stream id, the raw window and raw-scale output of the last
+// answered forecast; a request at the same anchor whose window bytes
+// still match is answered by copying the output, without touching the
+// model (output hit).
 //
 // Anchors are a routing heuristic, never a correctness carrier: every hit
 // is gated by a byte comparison of the actual window contents, so a
 // client that rewinds, skips or rewrites history degrades to a miss, not
-// a wrong answer.
+// a wrong answer. Only outputs that are a function of the window alone
+// are stored: the caller refuses rng-bearing forwards and non-finite
+// outputs.
+//
+// Entries are compact: the tags plus one float vector holding the window
+// followed by the output. Refreshing an entry reuses that vector's
+// storage, so a steady stream of misses allocates nothing.
 //
 // Invalidation: entries are tagged with the (weights) generation and the
 // precision tier they were computed under. A lookup presents the caller's
@@ -24,15 +24,16 @@
 // serving it. fleet::ModelProfile::Reload — which is also the path
 // online::OnlineLearner publishes ride — calls Invalidate(new_generation)
 // at swap: flush everything, retag. Workers still draining on the old
-// generation present old tags and simply miss, answering on the old
-// weights as the drain contract requires; zero stale reads either way.
+// generation present old tags: their lookups miss and their stores are
+// dropped, so they answer on the old weights as the drain contract
+// requires and leave nothing behind; zero stale reads either way.
 //
-// Thread-safe: one cache is shared by all workers of a server (and by all
+// Thread-safe: one memo is shared by all workers of a server (and by all
 // shards of a fleet profile — the determinism contract makes every
 // worker's bytes interchangeable).
 //
 // Escape hatch: STWA_NO_STREAM_CACHE=1 / SetStreamCacheMode(false)
-// disables the whole path (servers then never construct a cache).
+// disables the whole path (servers then never construct a memo).
 
 #ifndef STWA_SERVE_STREAM_CACHE_H_
 #define STWA_SERVE_STREAM_CACHE_H_
@@ -43,91 +44,82 @@
 #include <vector>
 
 #include "simd/lowp.h"
-#include "tensor/tensor.h"
 
 namespace stwa {
 namespace serve {
 
-/// Counters for the streaming cache (ServerStats / fleet stats surface
-/// these as sc_* fields).
+/// Counters for the memo (ServerStats / fleet stats surface these as sc_*
+/// fields). Every stream-tagged request that reaches a worker counts
+/// exactly once in output_hits, misses or bypass.
 struct StreamCacheStats {
-  /// Repeat forecast answered straight from the cached output.
+  /// Repeat forecast answered straight from the memoised output.
   int64_t output_hits = 0;
-  /// Shift-by-one reuse: one new column computed, global tail replayed.
+  /// Always 0: the shift-by-one reuse path was retired; the field stays
+  /// so existing readers of the struct keep compiling.
   int64_t shift_hits = 0;
-  /// Stream seen but no reusable entry (first contact, overlap mismatch,
-  /// anchor gap) — full compute, entry refreshed.
+  /// Computed by the model and memoised (first contact, a new window, an
+  /// anchor change or a stale entry).
   int64_t misses = 0;
   /// Entries rejected for a generation/precision tag mismatch. Stale
   /// entries are never served; this counts how many lookups hit one.
   int64_t stale_rejected = 0;
-  /// Requests that skipped the cache entirely (no stream id, batched
-  /// rides, unplannable session, rng in the plan).
+  /// Computed but not memoised: an rng-bearing forward, a non-finite
+  /// output, or a failed forward.
   int64_t bypass = 0;
   /// Invalidate() calls (hot reloads / online publishes).
   int64_t flushes = 0;
   /// Live entries.
   int64_t entries = 0;
-  /// Bytes held by live entries (windows + outputs + segments).
+  /// Float bytes held by live entries (windows + outputs).
   int64_t bytes = 0;
 
   void Merge(const StreamCacheStats& other);
 };
 
-/// Shared, mutex-guarded per-stream entry store. See file comment.
+/// Shared, mutex-guarded per-stream output memo. See file comment.
 class StreamCache {
  public:
-  /// One stream's cached state. Tensors are shared handles; `window` is
-  /// always a private copy (it is the lookup key and must not alias
-  /// caller-mutable storage).
-  struct Entry {
-    /// Stream position the entry was computed at (StreamState::anchor()).
-    int64_t anchor = -1;
-    /// Weights generation the entry was computed under.
-    uint64_t generation = 0;
-    /// Precision tier the entry was computed under.
-    simd::Precision precision = simd::Precision::kFp32;
-    /// Raw input window [1, N, H, F] — the byte-compared key.
-    Tensor window;
-    /// Raw-scale forecast [N, U, F].
-    Tensor output;
-    /// Full-window values of the plan's frontier steps, in
-    /// TimeSliceInfo::frontier_steps order (normalised domain). Empty when
-    /// the producing call had no incremental plan — output hits still work.
-    std::vector<Tensor> segments;
-  };
-
   explicit StreamCache(uint64_t generation = 1) : generation_(generation) {}
 
-  /// Copies stream `stream_id`'s entry into *out when one exists and its
-  /// tags match the caller's; returns false otherwise. A tag mismatch
-  /// counts stale_rejected and leaves the entry in place (a worker still
-  /// draining on the old generation may legitimately keep using it).
-  bool Lookup(int64_t stream_id, uint64_t generation,
-              simd::Precision precision, Entry* out);
+  /// Output hit: when stream `stream_id` has an entry with the caller's
+  /// tags, the same `anchor` and a byte-equal `window` (window_size
+  /// floats), copies the memoised output (output_size floats) into `out`,
+  /// counts an output hit and returns true. Otherwise returns false and
+  /// counts nothing but a tag mismatch (stale_rejected); the caller
+  /// computes and then calls Store or CountBypass.
+  bool Lookup(int64_t stream_id, int64_t anchor, uint64_t generation,
+              simd::Precision precision, const float* window,
+              int64_t window_size, float* out, int64_t output_size);
 
-  /// Installs/overwrites the entry for `stream_id`.
-  void Update(int64_t stream_id, Entry entry);
+  /// Memoises `output` as the answer to `window` for `stream_id` and
+  /// counts a miss. Dropped (but still counted) when `generation` is not
+  /// the memo's current one: a draining worker of a retired generation
+  /// must not leave entries behind.
+  void Store(int64_t stream_id, int64_t anchor, uint64_t generation,
+             simd::Precision precision, const float* window,
+             int64_t window_size, const float* output, int64_t output_size);
 
-  /// Flushes every entry and moves the cache to `new_generation`.
+  /// Counts a stream request computed without being memoised.
+  void CountBypass();
+
+  /// Flushes every entry and moves the memo to `new_generation`.
   /// Called at the hot-reload swap point, before new-generation workers
   /// take traffic.
   void Invalidate(uint64_t new_generation);
 
-  /// Generation tag for new entries (ServerOptions carries the value the
-  /// workers present; this accessor is for owners that manage both).
+  /// Generation tag of stored entries.
   uint64_t generation() const;
-
-  // Outcome counters — the session classifies its own path.
-  void CountOutputHit();
-  void CountShiftHit();
-  void CountMiss();
-  void CountBypass();
 
   StreamCacheStats Stats() const;
 
  private:
-  int64_t EntryBytes(const Entry& e) const;
+  struct Entry {
+    int64_t anchor = -1;
+    uint64_t generation = 0;
+    simd::Precision precision = simd::Precision::kFp32;
+    /// Window (the byte-compared key) followed by the output.
+    std::vector<float> data;
+  };
 
   mutable std::mutex mutex_;
   uint64_t generation_;
@@ -135,7 +127,7 @@ class StreamCache {
   StreamCacheStats stats_;
 };
 
-/// True when streaming-cache use is globally enabled: the default, unless
+/// True when memo use is globally enabled: the default, unless
 /// STWA_NO_STREAM_CACHE is set non-zero or SetStreamCacheMode(false) was
 /// called. Servers read this once at construction.
 bool StreamCacheEnabled();

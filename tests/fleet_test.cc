@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -148,7 +149,7 @@ TEST(FleetConfigTest, ParsesProfilesAndQuotas) {
   const FleetConfig config = ParseFleetConfig(
       "# fleet node\n"
       "profile cityA ckpt=/tmp/a.bin tiles=8 shards=2 workers=3 "
-      "max_batch=4 max_delay_us=100 capacity=64 deadline_us=5000 "
+      "max_batch=4 capacity=64 deadline_us=5000 "
       "precision=int8 serial_kernels=0\n"
       "\n"
       "profile cityB ckpt=/tmp/b.bin\n"
@@ -162,7 +163,6 @@ TEST(FleetConfigTest, ParsesProfilesAndQuotas) {
   EXPECT_EQ(a.shards, 2);
   EXPECT_EQ(a.workers, 3);
   EXPECT_EQ(a.max_batch, 4);
-  EXPECT_EQ(a.max_delay_us, 100);
   EXPECT_EQ(a.capacity, 64);
   EXPECT_EQ(a.deadline_us, 5000);
   EXPECT_EQ(a.precision, simd::Precision::kInt8);
@@ -187,6 +187,18 @@ TEST(FleetConfigTest, RejectsTyposInsteadOfServingDefaults) {
                Error);
   EXPECT_THROW(ParseFleetConfig("quota gold burst=5\n"), Error);  // no rate
   EXPECT_THROW(ParseFleetConfig("quota gold rate=1 color=red\n"), Error);
+}
+
+TEST(FleetConfigTest, RemovedMaxDelayOptionGetsAnActionableError) {
+  try {
+    ParseFleetConfig("profile cityA ckpt=/a max_delay_us=500\n");
+    FAIL() << "max_delay_us must be rejected";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("max_delay_us was removed"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("delete the option"), std::string::npos) << what;
+  }
 }
 
 TEST(FleetConfigTest, QuotaBurstClampedToAdmitAtLeastOne) {
@@ -248,7 +260,6 @@ FleetProfileConfig SmallProfile(const std::string& name,
   config.shards = 2;
   config.workers = 1;
   config.max_batch = 4;
-  config.max_delay_us = 200;
   config.deadline_us = 30'000'000;
   return config;
 }
@@ -347,10 +358,7 @@ TEST(ModelProfileTest, ReloadDrainsInFlightRequestsOnOldWeights) {
   serve::SaveServingCheckpoint(*f.model, f.info, path_b);
 
   FleetProfileConfig config = SmallProfile("cityA", f.path);
-  // A long batching delay keeps submissions queued (batch of 8 never
-  // fills), so the reload swap happens while they are in flight.
   config.max_batch = 8;
-  config.max_delay_us = 400'000;
   ModelProfile profile(config);
 
   const Tensor window =
@@ -365,10 +373,18 @@ TEST(ModelProfileTest, ReloadDrainsInFlightRequestsOnOldWeights) {
                         sizeof(float) * static_cast<size_t>(want_old.size())),
             0);
 
-  // Enqueue three forecasts, then reload before their delay expires.
+  // Enqueue three forecasts under a batch hold, so they are still queued
+  // when the reload swaps generations; the retiring drain executes them.
   std::vector<std::future<serve::Response>> in_flight;
-  for (int i = 0; i < 3; ++i) in_flight.push_back(profile.ForecastTile(1));
-  const ReloadResult reload = profile.Reload(path_b);
+  ReloadResult reload;
+  {
+    struct HoldGuard {
+      HoldGuard() { serve::internal::HoldBatchesForTest(true); }
+      ~HoldGuard() { serve::internal::HoldBatchesForTest(false); }
+    } hold;
+    for (int i = 0; i < 3; ++i) in_flight.push_back(profile.ForecastTile(1));
+    reload = profile.Reload(path_b);
+  }
   EXPECT_EQ(reload.version, 2);
   EXPECT_EQ(reload.ckpt_version, 2);
   EXPECT_GT(reload.prepare_us, 0.0);
@@ -608,6 +624,42 @@ TEST(FleetLineSessionTest, NonFiniteObservationsLeaveTheTileUnchanged) {
   auto moved = session.Handle("cityX forecast 0", &quit);
   ASSERT_TRUE(moved.has_value());
   EXPECT_NE(*moved, *before);
+  std::remove(f.path.c_str());
+}
+
+TEST(FleetLineSessionTest, NonFiniteOutputIsWithheldCountedAndNeverMemoised) {
+  // A checkpoint with one NaN weight: every forecast is flagged, counted
+  // in the profile stats, and never memoised for the repeat read.
+  Fixture f = MakeFixture("stwa_fleet_proto_nanweight.bin");
+  Tensor weight = f.model->NamedParameters().back().second.value();
+  weight.data()[0] = std::numeric_limits<float>::quiet_NaN();
+  serve::SaveServingCheckpoint(*f.model, f.info, f.path);
+  FleetConfig config;
+  FleetProfileConfig profile = SmallProfile("cityX", f.path);
+  profile.tiles = 1;
+  profile.shards = 1;
+  config.profiles.push_back(profile);
+  FleetNode node(config);
+  FleetLineSession session(node);
+  bool quit = false;
+  std::string obs_line = "cityX obs 0";
+  for (int64_t i = 0; i < f.info.num_sensors; ++i) obs_line += " 120";
+  for (int64_t s = 0; s < f.settings.history; ++s) {
+    ASSERT_EQ(*session.Handle(obs_line, &quit), "ok");
+  }
+  for (int i = 0; i < 2; ++i) {
+    auto resp = session.Handle("cityX forecast 0", &quit);
+    ASSERT_TRUE(resp.has_value());
+    EXPECT_EQ(*resp, "forecast ok=0 degraded=1 err=non_finite_output");
+  }
+  auto pstats = session.Handle("cityX stats", &quit);
+  ASSERT_TRUE(pstats.has_value());
+  EXPECT_NE(pstats->find(" non_finite=2 "), std::string::npos) << *pstats;
+  EXPECT_NE(pstats->find(" queue_p99_us="), std::string::npos) << *pstats;
+  EXPECT_NE(pstats->find(" sc_output_hits=0 "), std::string::npos)
+      << *pstats;
+  // Withheld answers are not completions.
+  EXPECT_EQ(node.Stats().per_tenant.total_count(), 0);
   std::remove(f.path.c_str());
 }
 

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <future>
 #include <thread>
 #include <vector>
@@ -375,7 +376,6 @@ TEST(PrecisionSessionTest, ServerHonoursSessionPrecision) {
   ServerOptions opts;
   opts.workers = 2;
   opts.batching.max_batch = 4;
-  opts.batching.max_delay = std::chrono::microseconds(2000);
   opts.session = cfg;
   Server server(f.path, opts);
   std::vector<std::future<Response>> futures;
@@ -398,7 +398,6 @@ TEST(PrecisionSessionTest, ServerHonoursSessionPrecision) {
 TEST(BatchingQueueTest, CoalescesUpToMaxBatch) {
   BatchingOptions opts;
   opts.max_batch = 3;
-  opts.max_delay = std::chrono::microseconds(60'000'000);
   BatchingQueue queue(opts);
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 5; ++i) {
@@ -407,13 +406,34 @@ TEST(BatchingQueueTest, CoalescesUpToMaxBatch) {
   }
   std::vector<Request> first = queue.NextBatch();
   EXPECT_EQ(first.size(), 3u);
-  queue.Shutdown();  // the 2 leftovers are under max_batch and far from
-                     // their flush point; shutdown releases them
+  // Work-conserving: the 2 leftovers are under max_batch, yet an idle
+  // consumer takes them at once instead of waiting for companions.
   std::vector<Request> second = queue.NextBatch();
   EXPECT_EQ(second.size(), 2u);
   EXPECT_EQ(queue.queue_depth(), 0);
   for (auto& r : first) r.promise.set_value(Response{});
   for (auto& r : second) r.promise.set_value(Response{});
+  queue.Shutdown();
+}
+
+TEST(BatchingQueueTest, HeldQueueReleasesNothingUntilShutdown) {
+  struct HoldGuard {
+    HoldGuard() { internal::HoldBatchesForTest(true); }
+    ~HoldGuard() { internal::HoldBatchesForTest(false); }
+  } hold;
+  BatchingQueue queue(BatchingOptions{});
+  auto fut = queue.Submit(Tensor(Shape{1, 1, 1}),
+                          std::chrono::microseconds(60'000'000));
+  std::future<std::vector<Request>> taken = std::async(
+      std::launch::async, [&queue] { return queue.NextBatch(); });
+  EXPECT_EQ(taken.wait_for(std::chrono::milliseconds(20)),
+            std::future_status::timeout);
+  EXPECT_EQ(queue.queue_depth(), 1);
+  queue.Shutdown();  // the drain ignores the hold
+  std::vector<Request> batch = taken.get();
+  ASSERT_EQ(batch.size(), 1u);
+  batch[0].promise.set_value(Response{});
+  EXPECT_EQ(queue.shed(), 0);
 }
 
 TEST(BatchingQueueTest, ShedsOnCapacityOverflow) {
@@ -444,11 +464,9 @@ TEST(BatchingQueueTest, ShedsOnCapacityOverflow) {
 TEST(BatchingQueueTest, ShedsExpiredRequestsAsDegraded) {
   BatchingOptions opts;
   opts.max_batch = 8;
-  opts.max_delay = std::chrono::microseconds(1000);
   BatchingQueue queue(opts);
-  auto f = queue.Submit(Tensor(Shape{1, 1, 1}),
-                        std::chrono::microseconds(500));
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  // A zero budget has expired by the time any consumer looks.
+  auto f = queue.Submit(Tensor(Shape{1, 1, 1}), std::chrono::microseconds(0));
   queue.Shutdown();  // so NextBatch returns once the queue is drained
   std::vector<Request> batch = queue.NextBatch();  // finds it expired
   EXPECT_TRUE(batch.empty());
@@ -490,7 +508,6 @@ TEST(ServerTest, ForecastsBitIdenticalAcrossWorkerAndBatchConfigs) {
     ServerOptions opts;
     opts.workers = c.workers;
     opts.batching.max_batch = c.max_batch;
-    opts.batching.max_delay = std::chrono::microseconds(2000);
     opts.default_deadline = std::chrono::seconds(60);
     Server server(f.path, opts);
     std::vector<std::future<Response>> futures;
@@ -515,6 +532,8 @@ TEST(ServerTest, ForecastsBitIdenticalAcrossWorkerAndBatchConfigs) {
     EXPECT_EQ(stats.completed, static_cast<int64_t>(futures.size()));
     EXPECT_EQ(stats.shed, 0);
     EXPECT_EQ(stats.latency.count(), stats.completed);
+    EXPECT_EQ(stats.queue_wait.count(), stats.completed);
+    EXPECT_EQ(stats.non_finite, 0);
   }
   std::remove(f.path.c_str());
 }
@@ -524,24 +543,23 @@ TEST(ServerTest, ImpossibleDeadlinesAreShedWithDegradedFlag) {
   ServerOptions opts;
   opts.workers = 1;
   opts.batching.max_batch = 1;
-  // Hold batches back long enough that a 1 us deadline always expires.
-  opts.batching.max_delay = std::chrono::microseconds(20'000);
   Server server(f.path, opts);
   Tensor window = ops::Slice(f.dataset.values, 1, 0, f.settings.history);
   std::vector<std::future<Response>> futures;
+  // A zero budget has expired before any worker can take the request.
   for (int i = 0; i < 8; ++i) {
-    futures.push_back(server.Submit(window, std::chrono::microseconds(1)));
+    futures.push_back(server.Submit(window, std::chrono::microseconds(0)));
   }
-  int64_t degraded = 0;
   for (auto& fut : futures) {
     Response r = fut.get();
-    if (!r.ok) {
-      EXPECT_TRUE(r.degraded);
-      ++degraded;
-    }
+    EXPECT_FALSE(r.ok);
+    EXPECT_TRUE(r.degraded);
+    EXPECT_NE(r.error.find("deadline"), std::string::npos) << r.error;
   }
-  EXPECT_GT(degraded, 0);
-  EXPECT_EQ(server.Stats().shed, degraded);
+  const ServerStats stats = server.Stats();
+  EXPECT_EQ(stats.shed, 8);
+  EXPECT_EQ(stats.completed, 0);
+  EXPECT_EQ(stats.queue_wait.count(), 0);
   std::remove(f.path.c_str());
 }
 
@@ -660,13 +678,18 @@ TEST(ServerStatsTest, MergeAddsCountersAndReweightsMeanBatch) {
   a.batches = 4;
   a.mean_batch = 2.0;  // 8 requests over 4 batches
   a.protocol_errors = 1;
+  a.non_finite = 1;
   a.latency.Record(100.0);
+  a.queue_wait.Record(5.0);
   a.per_worker.Record("w0", 100.0);
   b.submitted = 6;
   b.completed = 6;
   b.batches = 2;
   b.mean_batch = 3.0;  // 6 requests over 2 batches
+  b.non_finite = 2;
   b.latency.Record(300.0);
+  b.queue_wait.Record(7.0);
+  b.queue_wait.Record(9.0);
   b.per_worker.Record("w0", 300.0);
   a.Merge(b);
   EXPECT_EQ(a.submitted, 16);
@@ -675,7 +698,9 @@ TEST(ServerStatsTest, MergeAddsCountersAndReweightsMeanBatch) {
   EXPECT_EQ(a.batches, 6);
   EXPECT_EQ(a.protocol_errors, 1);
   EXPECT_DOUBLE_EQ(a.mean_batch, 14.0 / 6.0);
+  EXPECT_EQ(a.non_finite, 3);
   EXPECT_EQ(a.latency.count(), 2);
+  EXPECT_EQ(a.queue_wait.count(), 3);
   EXPECT_EQ(a.per_worker.Find("w0")->count(), 2);
 }
 
@@ -824,13 +849,50 @@ TEST(LineSessionTest, WarmingForecastReportsProgress) {
   std::remove(f.path.c_str());
 }
 
+TEST(LineSessionTest, NonFiniteOutputIsWithheldCountedAndNeverMemoised) {
+  // One NaN weight poisons the forecast: it must come back flagged, not
+  // as a plausible line of numbers, and a repeat read must recompute
+  // (a withheld answer is never memoised).
+  Fixture f = MakeFixture("stwa_serve_session_nanweight.bin");
+  Tensor weight = f.model->NamedParameters().back().second.value();
+  weight.data()[0] = std::numeric_limits<float>::quiet_NaN();
+  SaveServingCheckpoint(*f.model, f.info, f.path);
+  Server server(f.path, ServerOptions{});
+  LineSession session(server);
+  bool quit = false;
+  std::string obs_line = "obs";
+  for (int64_t i = 0; i < f.info.num_sensors; ++i) obs_line += " 120";
+  for (int64_t s = 0; s < f.settings.history; ++s) {
+    ASSERT_EQ(*session.Handle(obs_line, &quit), "ok");
+  }
+  for (int i = 0; i < 2; ++i) {
+    auto resp = session.Handle("forecast", &quit);
+    ASSERT_TRUE(resp.has_value());
+    EXPECT_EQ(*resp, "forecast ok=0 degraded=1 err=non_finite_output");
+  }
+  auto stats = session.Handle("stats", &quit);
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_NE(stats->find(" non_finite=2 "), std::string::npos) << *stats;
+  EXPECT_NE(stats->find(" completed=0 "), std::string::npos) << *stats;
+  EXPECT_NE(stats->find(" queue_p50_us="), std::string::npos) << *stats;
+  EXPECT_NE(stats->find(" queue_p99_us="), std::string::npos) << *stats;
+  const ServerStats st = server.Stats();
+  EXPECT_EQ(st.non_finite, 2);
+  EXPECT_EQ(st.queue_wait.count(), 2);
+  if (server.stream_cache() != nullptr) {
+    EXPECT_EQ(st.stream_cache.output_hits, 0);
+    EXPECT_EQ(st.stream_cache.bypass, 2);
+    EXPECT_EQ(st.stream_cache.entries, 0);
+  }
+  std::remove(f.path.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // BatchingQueue: shutdown drains instead of dropping
 
 TEST(BatchingQueueTest, ShutdownDrainsQueuedRequestsBeforeEmpty) {
   BatchingOptions opts;
   opts.max_batch = 4;
-  opts.max_delay = std::chrono::microseconds(60'000'000);
   BatchingQueue queue(opts);
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 10; ++i) {

@@ -1,9 +1,9 @@
-// Tests for incremental streaming inference: the time-slice plan
-// analysis (ir/time_slice.h), the per-stream activation cache
-// (serve/stream_cache.h), the InferenceSession::ForecastStream paths,
-// server/fleet wiring, and invalidation on hot reload and online
-// publish. The load-bearing property throughout is byte identity: the
-// incremental path must serve exactly the bytes the cold path would.
+// Tests for the per-stream output memo (serve/stream_cache.h), the
+// InferenceSession::ForecastStream path, server/fleet wiring, and
+// invalidation on hot reload and online publish. The load-bearing
+// property throughout is byte identity: a memo hit must serve exactly
+// the bytes the cold path would. The memo needs no captured plan, so
+// every test here asserts the same paths with STWA_NO_PLAN=1.
 
 #include <cstdio>
 #include <cstring>
@@ -14,12 +14,14 @@
 #include <gtest/gtest.h>
 
 #include "autograd/no_grad.h"
+#include "autograd/ops.h"
+#include "common/rng.h"
 #include "baselines/registry.h"
 #include "data/scaler.h"
 #include "data/traffic_generator.h"
 #include "fleet/profile.h"
 #include "ir/plan.h"
-#include "ir/time_slice.h"
+#include "ir/registry.h"
 #include "online/adaptation.h"
 #include "serve/checkpoint.h"
 #include "serve/inference_session.h"
@@ -78,206 +80,158 @@ bool SameBytes(const Tensor& a, const Tensor& b) {
 }
 
 // ---------------------------------------------------------------------------
-// Time-slice plan analysis
-
-std::unique_ptr<ir::ExecutionPlan> CapturePlan(const Fixture& f,
-                                               Tensor* norm_out) {
-  data::StandardScaler scaler(f.info.scaler_mean, f.info.scaler_std);
-  Tensor w = ops::Slice(f.dataset.values, 1, 20, f.settings.history);
-  Tensor norm = scaler.Transform(
-      w.Reshape({1, w.dim(0), w.dim(1), w.dim(2)}));
-  ag::NoGradMode no_grad;
-  ir::GraphCapture capture;
-  ag::Var pred = f.model->Forward(norm, /*training=*/false);
-  *norm_out = norm;
-  return capture.Finish(pred, {norm}, /*with_backward=*/false);
-}
-
-TEST(TimeSliceAnalysisTest, ClassifiesQuickstartPlans) {
-  for (const std::string name : {"ST-WA", "S-WA"}) {
-    Fixture f = MakeFixture("stwa_sc_analysis.bin", name);
-    Tensor norm;
-    auto plan = CapturePlan(f, &norm);
-    ASSERT_NE(plan, nullptr) << name;
-    ir::TimeSliceInfo info =
-        ir::AnalyzeTimeSlice(*plan, /*feed_index=*/0, /*time_axis=*/2);
-    EXPECT_TRUE(info.feasible) << name;
-    EXPECT_FALSE(info.has_rng) << name;
-    EXPECT_EQ(info.window, f.settings.history) << name;
-    // Model parameters are window-invariant, so param-only chains must
-    // classify invariant, and the feed embedding chain sliced.
-    EXPECT_GT(info.invariant_count, 0) << name;
-    EXPECT_GT(info.sliced_count, 0) << name;
-    EXPECT_FALSE(info.frontier_steps.empty()) << name;
-    const size_t steps = plan->forward_steps().size();
-    EXPECT_EQ(info.invariant_count + info.sliced_count + info.global_count,
-              static_cast<int64_t>(steps))
-        << name;
-    // Masks mirror the classification: global_mask runs only globals,
-    // non_invariant_mask runs globals + sliced.
-    int64_t global_on = 0, non_inv_on = 0;
-    for (size_t i = 0; i < steps; ++i) {
-      global_on += info.global_mask[i];
-      non_inv_on += info.non_invariant_mask[i];
-    }
-    EXPECT_EQ(global_on, info.global_count) << name;
-    EXPECT_EQ(non_inv_on, info.global_count + info.sliced_count) << name;
-    std::remove(f.path.c_str());
-  }
-}
-
-TEST(TimeSliceAnalysisTest, SlicedStepsSatisfyShiftProperty) {
-  // Capture the same model over two windows one step apart: for every
-  // step classified sliced, columns 0..H-2 of the later capture must be
-  // byte-identical to columns 1..H-1 of the earlier one. This is the
-  // physical property the shift path's splice relies on.
-  Fixture f = MakeFixture("stwa_sc_shiftprop.bin", "ST-WA");
-  data::StandardScaler scaler(f.info.scaler_mean, f.info.scaler_std);
-  auto capture_at = [&](int64_t t) {
-    Tensor w = ops::Slice(f.dataset.values, 1, t, f.settings.history);
-    Tensor norm = scaler.Transform(
-        w.Reshape({1, w.dim(0), w.dim(1), w.dim(2)}));
-    ag::NoGradMode no_grad;
-    ir::GraphCapture capture;
-    ag::Var pred = f.model->Forward(norm, false);
-    return capture.Finish(pred, {norm}, false);
-  };
-  auto plan1 = capture_at(20);
-  auto plan2 = capture_at(21);
-  ASSERT_NE(plan1, nullptr);
-  ASSERT_NE(plan2, nullptr);
-  ir::TimeSliceInfo info = ir::AnalyzeTimeSlice(*plan1, 0, 2);
-  ASSERT_TRUE(info.feasible);
-  const auto& s1 = plan1->forward_steps();
-  const auto& s2 = plan2->forward_steps();
-  ASSERT_EQ(s1.size(), s2.size());
-  int checked = 0;
-  for (size_t i = 0; i < s1.size(); ++i) {
-    if (info.step_class[i] != ir::TimeClass::kSliced) continue;
-    const int64_t a = info.step_axis[i];
-    ASSERT_EQ(s1[i]->value.shape(), s2[i]->value.shape());
-    Tensor head2 = ops::Slice(s2[i]->value, a, 0, info.window - 1);
-    Tensor tail1 = ops::Slice(s1[i]->value, a, 1, info.window - 1);
-    EXPECT_TRUE(SameBytes(head2, tail1)) << "sliced step " << i;
-    ++checked;
-  }
-  EXPECT_GT(checked, 0);
-  std::remove(f.path.c_str());
-}
-
-// ---------------------------------------------------------------------------
 // StreamCache bookkeeping
 
-StreamCache::Entry MakeEntry(int64_t anchor, uint64_t generation,
-                             simd::Precision precision) {
-  StreamCache::Entry e;
-  e.anchor = anchor;
-  e.generation = generation;
-  e.precision = precision;
-  e.window = Tensor::Zeros({1, 2, 3, 1});
-  e.output = Tensor::Zeros({2, 2, 1});
-  e.segments.push_back(Tensor::Zeros({1, 2, 3}));
-  return e;
+constexpr int64_t kWin = 6;  // window floats of the bookkeeping tests
+constexpr int64_t kOut = 4;  // output floats
+
+std::vector<float> Filled(int64_t size, float v) {
+  return std::vector<float>(static_cast<size_t>(size), v);
 }
 
 TEST(StreamCacheTest, LookupMatchesTagsAndCountsStale) {
   StreamCache cache(/*generation=*/1);
-  cache.Update(7, MakeEntry(5, 1, simd::Precision::kFp32));
-  StreamCache::Entry got;
-  EXPECT_TRUE(cache.Lookup(7, 1, simd::Precision::kFp32, &got));
-  EXPECT_EQ(got.anchor, 5);
-  // Unknown stream: plain miss, not stale.
-  EXPECT_FALSE(cache.Lookup(8, 1, simd::Precision::kFp32, &got));
-  // Generation mismatch: stale, entry stays for old-generation drains.
-  EXPECT_FALSE(cache.Lookup(7, 2, simd::Precision::kFp32, &got));
-  // Precision mismatch: stale as well.
-  EXPECT_FALSE(cache.Lookup(7, 1, simd::Precision::kBf16, &got));
-  EXPECT_TRUE(cache.Lookup(7, 1, simd::Precision::kFp32, &got));
+  const std::vector<float> w = Filled(kWin, 2.0f);
+  const std::vector<float> out = Filled(kOut, 7.0f);
+  cache.Store(7, /*anchor=*/5, 1, simd::Precision::kFp32, w.data(), kWin,
+              out.data(), kOut);
+  std::vector<float> got = Filled(kOut, 0.0f);
+  EXPECT_TRUE(cache.Lookup(7, 5, 1, simd::Precision::kFp32, w.data(), kWin,
+                           got.data(), kOut));
+  EXPECT_EQ(got, out);
+  // Unknown stream, another anchor, other window bytes: plain misses.
+  EXPECT_FALSE(cache.Lookup(8, 5, 1, simd::Precision::kFp32, w.data(), kWin,
+                            got.data(), kOut));
+  EXPECT_FALSE(cache.Lookup(7, 6, 1, simd::Precision::kFp32, w.data(), kWin,
+                            got.data(), kOut));
+  std::vector<float> other = w;
+  other.back() = 2.5f;
+  EXPECT_FALSE(cache.Lookup(7, 5, 1, simd::Precision::kFp32, other.data(),
+                            kWin, got.data(), kOut));
+  // Generation or precision mismatch: stale, never served.
+  EXPECT_FALSE(cache.Lookup(7, 5, 2, simd::Precision::kFp32, w.data(), kWin,
+                            got.data(), kOut));
+  EXPECT_FALSE(cache.Lookup(7, 5, 1, simd::Precision::kBf16, w.data(), kWin,
+                            got.data(), kOut));
   const StreamCacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.output_hits, 1);
+  EXPECT_EQ(stats.misses, 1);  // the Store
   EXPECT_EQ(stats.stale_rejected, 2);
+  EXPECT_EQ(stats.shift_hits, 0);
   EXPECT_EQ(stats.entries, 1);
-  EXPECT_GT(stats.bytes, 0);
+  EXPECT_EQ(stats.bytes,
+            static_cast<int64_t>(sizeof(float)) * (kWin + kOut));
+}
+
+TEST(StreamCacheTest, RefreshReusesEntryStorage) {
+  StreamCache cache(1);
+  const std::vector<float> out = Filled(kOut, 1.0f);
+  for (int64_t t = 0; t < 4; ++t) {
+    const std::vector<float> w = Filled(kWin, static_cast<float>(t));
+    cache.Store(3, t, 1, simd::Precision::kFp32, w.data(), kWin, out.data(),
+                kOut);
+  }
+  const StreamCacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.entries, 1);
+  EXPECT_EQ(stats.misses, 4);
+  EXPECT_EQ(stats.bytes,
+            static_cast<int64_t>(sizeof(float)) * (kWin + kOut));
+  // Only the latest window answers.
+  std::vector<float> got(kOut);
+  const std::vector<float> last = Filled(kWin, 3.0f);
+  EXPECT_TRUE(cache.Lookup(3, 3, 1, simd::Precision::kFp32, last.data(),
+                           kWin, got.data(), kOut));
 }
 
 TEST(StreamCacheTest, InvalidateFlushesAndRetags) {
   StreamCache cache(1);
-  cache.Update(1, MakeEntry(5, 1, simd::Precision::kFp32));
-  cache.Update(2, MakeEntry(9, 1, simd::Precision::kFp32));
+  const std::vector<float> w = Filled(kWin, 2.0f);
+  const std::vector<float> out = Filled(kOut, 7.0f);
+  cache.Store(1, 5, 1, simd::Precision::kFp32, w.data(), kWin, out.data(),
+              kOut);
+  cache.Store(2, 9, 1, simd::Precision::kFp32, w.data(), kWin, out.data(),
+              kOut);
   EXPECT_EQ(cache.Stats().entries, 2);
   cache.Invalidate(2);
   EXPECT_EQ(cache.generation(), 2u);
-  const StreamCacheStats stats = cache.Stats();
+  StreamCacheStats stats = cache.Stats();
   EXPECT_EQ(stats.entries, 0);
   EXPECT_EQ(stats.bytes, 0);
   EXPECT_EQ(stats.flushes, 1);
-  StreamCache::Entry got;
-  EXPECT_FALSE(cache.Lookup(1, 2, simd::Precision::kFp32, &got));
+  // A worker of the retired generation finishing late leaves nothing.
+  cache.Store(1, 5, 1, simd::Precision::kFp32, w.data(), kWin, out.data(),
+              kOut);
+  EXPECT_EQ(cache.Stats().entries, 0);
+  std::vector<float> got(kOut);
+  EXPECT_FALSE(cache.Lookup(1, 5, 2, simd::Precision::kFp32, w.data(), kWin,
+                            got.data(), kOut));
 }
 
 // ---------------------------------------------------------------------------
 // ForecastStream byte identity
 
-TEST(ForecastStreamTest, ShiftPathMatchesColdForecastBitExactly) {
-  for (const std::string name : {"ST-WA", "S-WA"}) {
-    Fixture f = MakeFixture("stwa_sc_shift.bin", name);
-    auto session = InferenceSession::Open(f.path);
-    auto reference = InferenceSession::Open(f.path);
-    StreamCache cache(1);
-    const int64_t h = f.settings.history;
-    for (int64_t t = 0; t < 20; ++t) {
-      Tensor w = ops::Slice(f.dataset.values, 1, t, h);
-      Tensor got = session->ForecastStream(w, /*stream_id=*/0,
-                                           /*anchor=*/t + h - 1, &cache, 1);
-      Tensor want = reference->Forecast(w);
-      ASSERT_TRUE(SameBytes(got, want)) << name << " t=" << t;
-    }
-    const StreamCacheStats stats = cache.Stats();
-    EXPECT_GT(stats.shift_hits, 0) << name;
-    EXPECT_EQ(stats.stale_rejected, 0) << name;
-    std::remove(f.path.c_str());
-  }
-}
-
-TEST(ForecastStreamTest, ShiftAnswerMatchesHandRecomputedReference) {
-  // The strictest form of the shift check: a dedicated session serves
-  // windows [t, t+1] through the stream path while a fresh session
-  // recomputes window t+1 from scratch — the shift-hit answer must be
-  // bitwise the cold answer, not merely close.
-  Fixture f = MakeFixture("stwa_sc_handref.bin", "ST-WA");
-  auto session = InferenceSession::Open(f.path);
-  StreamCache cache(1);
-  const int64_t h = f.settings.history;
-  Tensor w0 = ops::Slice(f.dataset.values, 1, 30, h);
-  Tensor w1 = ops::Slice(f.dataset.values, 1, 31, h);
-  session->ForecastStream(w0, 0, h - 1, &cache, 1);
-  Tensor shifted = session->ForecastStream(w1, 0, h, &cache, 1);
-  EXPECT_GT(cache.Stats().shift_hits, 0);
-  Tensor cold = InferenceSession::Open(f.path)->Forecast(w1);
-  EXPECT_TRUE(SameBytes(shifted, cold));
-  std::remove(f.path.c_str());
-}
-
 TEST(ForecastStreamTest, InterleavedStreamsStayByteExact) {
-  // Regression: harvested frontier segments used to alias the plan's
-  // feed buffer, which BindFeeds rewrites in place — interleaving a
-  // second stream between one stream's harvest and its next shift served
-  // the wrong bytes. Three round-robin streams through one session must
-  // all stay bit-identical to the cold path.
+  // Three round-robin streams through one session, each read twice per
+  // window (the second read a memo hit): every answer must stay
+  // bit-identical to the cold path of a separate session.
   Fixture f = MakeFixture("stwa_sc_interleave.bin", "ST-WA");
   auto session = InferenceSession::Open(f.path);
   auto reference = InferenceSession::Open(f.path);
   StreamCache cache(1);
   const int64_t h = f.settings.history;
-  for (int64_t t = 0; t < 12; ++t) {
-    for (int64_t s = 0; s < 3; ++s) {
-      Tensor w = ops::Slice(f.dataset.values, 1, t + s * 29, h);
-      Tensor got = session->ForecastStream(w, s, t + h - 1, &cache, 1);
-      Tensor want = reference->Forecast(w);
-      ASSERT_TRUE(SameBytes(got, want)) << "t=" << t << " s=" << s;
+  for (int64_t t = 0; t < 6; ++t) {
+    for (int64_t read = 0; read < 2; ++read) {
+      for (int64_t s = 0; s < 3; ++s) {
+        Tensor w = ops::Slice(f.dataset.values, 1, t + s * 29, h);
+        Tensor got = session->ForecastStream(w, s, t + h - 1, &cache, 1);
+        Tensor want = reference->Forecast(w);
+        ASSERT_TRUE(SameBytes(got, want))
+            << "t=" << t << " read=" << read << " s=" << s;
+      }
     }
   }
-  EXPECT_GT(cache.Stats().shift_hits, 0);
+  const StreamCacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.output_hits, 18);
+  EXPECT_EQ(stats.misses, 18);
+  EXPECT_EQ(stats.bypass, 0);
+  EXPECT_EQ(stats.shift_hits, 0);
+  EXPECT_EQ(stats.entries, 3);
   std::remove(f.path.c_str());
+}
+
+TEST(ForecastStreamTest, BatchedWindowShapeRoundTrips) {
+  // [1, N, H, F] in, [1, N, U, F] out, on the miss and on the hit.
+  Fixture f = MakeFixture("stwa_sc_rank4.bin", "ST-WA");
+  auto session = InferenceSession::Open(f.path);
+  StreamCache cache(1);
+  const int64_t h = f.settings.history;
+  Tensor w = ops::Slice(f.dataset.values, 1, 4, h);
+  Tensor w4 = w.Reshape({1, w.dim(0), w.dim(1), w.dim(2)});
+  Tensor want = InferenceSession::Open(f.path)->Forecast(w4);
+  Tensor miss = session->ForecastStream(w4, 0, h - 1, &cache, 1);
+  Tensor hit = session->ForecastStream(w4, 0, h - 1, &cache, 1);
+  EXPECT_TRUE(SameBytes(miss, want));
+  EXPECT_TRUE(SameBytes(hit, want));
+  EXPECT_EQ(cache.Stats().output_hits, 1);
+  std::remove(f.path.c_str());
+}
+
+TEST(ForecastStreamTest, RngDrawsAreCountedInEagerAndReplayedForwards) {
+  // The memo's refusal of rng-bearing forwards rests on this counter:
+  // a sampling op must move it whether traced eagerly or replayed.
+  Rng rng(5);
+  const uint64_t start = ir::RngDrawCount();
+  ag::NoGradMode no_grad;
+  ir::GraphCapture capture;
+  ag::Var x = ag::RandnVar({2, 3}, rng);
+  EXPECT_EQ(ir::RngDrawCount(), start + 1);
+  Tensor feed = Tensor::Zeros({2, 3});
+  ag::Var leaf(feed);
+  ag::Var y = ag::Add(leaf, x);
+  auto plan = capture.Finish(y, {feed}, /*with_backward=*/false);
+  ASSERT_NE(plan, nullptr);
+  plan->ReplayForward({Tensor::Zeros({2, 3})});
+  EXPECT_EQ(ir::RngDrawCount(), start + 2);
 }
 
 TEST(ForecastStreamTest, OutputHitServesRepeatWithoutRecompute) {
@@ -286,7 +240,11 @@ TEST(ForecastStreamTest, OutputHitServesRepeatWithoutRecompute) {
   StreamCache cache(1);
   const int64_t h = f.settings.history;
   Tensor w = ops::Slice(f.dataset.values, 1, 10, h);
+  // Eval-mode ST-WA uses the latent mean: it draws no rng, so its
+  // outputs may be memoised.
+  const uint64_t draws = ir::RngDrawCount();
   Tensor first = session->ForecastStream(w, 0, h - 1, &cache, 1);
+  EXPECT_EQ(ir::RngDrawCount(), draws);
   const int64_t before = session->forward_count();
   Tensor repeat = session->ForecastStream(w, 0, h - 1, &cache, 1);
   EXPECT_EQ(session->forward_count(), before);  // no model work
@@ -295,9 +253,35 @@ TEST(ForecastStreamTest, OutputHitServesRepeatWithoutRecompute) {
   std::remove(f.path.c_str());
 }
 
+TEST(ForecastStreamTest, MemoServesTheSameWithPlansOnAndOff) {
+  // The memo keys on window bytes, not on a captured plan: with plans off
+  // (the STWA_NO_PLAN=1 path) the same requests take the same memo paths
+  // and serve the same bytes.
+  Fixture f = MakeFixture("stwa_sc_noplan.bin", "ST-WA");
+  const int64_t h = f.settings.history;
+  Tensor w = ops::Slice(f.dataset.values, 1, 10, h);
+  const bool saved = ir::PlanModeEnabled();
+  std::vector<Tensor> answers;
+  for (const bool plans : {true, false}) {
+    ir::SetPlanMode(plans);
+    auto session = InferenceSession::Open(f.path);
+    StreamCache cache(1);
+    answers.push_back(session->ForecastStream(w, 0, h - 1, &cache, 1));
+    answers.push_back(session->ForecastStream(w, 0, h - 1, &cache, 1));
+    const StreamCacheStats stats = cache.Stats();
+    EXPECT_EQ(stats.misses, 1) << "plans=" << plans;
+    EXPECT_EQ(stats.output_hits, 1) << "plans=" << plans;
+    EXPECT_EQ(stats.bypass, 0) << "plans=" << plans;
+    EXPECT_EQ(session->forward_count(), 1) << "plans=" << plans;
+  }
+  ir::SetPlanMode(saved);
+  for (const Tensor& a : answers) EXPECT_TRUE(SameBytes(a, answers[0]));
+  std::remove(f.path.c_str());
+}
+
 TEST(ForecastStreamTest, RewoundWindowDegradesToMissNotWrongAnswer) {
-  // Anchor says "one ahead" but the bytes do not overlap: the memcmp
-  // gate must reject the shift and recompute.
+  // Anchor says "same window" but the bytes differ: the memcmp gate must
+  // reject the memoised output and recompute.
   Fixture f = MakeFixture("stwa_sc_rewind.bin", "ST-WA");
   auto session = InferenceSession::Open(f.path);
   auto reference = InferenceSession::Open(f.path);
@@ -305,13 +289,11 @@ TEST(ForecastStreamTest, RewoundWindowDegradesToMissNotWrongAnswer) {
   const int64_t h = f.settings.history;
   session->ForecastStream(ops::Slice(f.dataset.values, 1, 10, h), 0, h - 1,
                           &cache, 1);
-  session->ForecastStream(ops::Slice(f.dataset.values, 1, 11, h), 0, h,
-                          &cache, 1);
-  // Claimed anchor h+1, but the window jumps 40 steps: overlap fails.
   Tensor jump = ops::Slice(f.dataset.values, 1, 52, h);
-  Tensor got = session->ForecastStream(jump, 0, h + 1, &cache, 1);
+  Tensor got = session->ForecastStream(jump, 0, h - 1, &cache, 1);
   EXPECT_TRUE(SameBytes(got, reference->Forecast(jump)));
-  EXPECT_GE(cache.Stats().misses, 2);  // first contact + the jump
+  EXPECT_EQ(cache.Stats().output_hits, 0);
+  EXPECT_EQ(cache.Stats().misses, 2);  // first contact + the rewrite
   std::remove(f.path.c_str());
 }
 
@@ -376,9 +358,7 @@ TEST(ServerStreamCacheTest, OnOffBitIdentityAcrossWorkersBatchingTiers) {
           }
           const ServerStats stats = server.Stats();
           if (!cache_on) {
-            EXPECT_EQ(stats.stream_cache.output_hits +
-                          stats.stream_cache.shift_hits,
-                      0);
+            EXPECT_EQ(stats.stream_cache.output_hits, 0);
           }
           EXPECT_EQ(stats.stream_cache.stale_rejected, 0);
         }
@@ -399,11 +379,60 @@ TEST(ServerStreamCacheTest, SingletonStreamSubmitsHitTheCache) {
   Server server(f.path, opts);
   for (int64_t t = 0; t < 8; ++t) {
     Tensor w = ops::Slice(f.dataset.values, 1, t, h);
-    ASSERT_TRUE(server.Submit(w, /*stream_id=*/0, t + h - 1).get().ok);
+    for (int read = 0; read < 2; ++read) {
+      ASSERT_TRUE(server.Submit(w, /*stream_id=*/0, t + h - 1).get().ok);
+    }
   }
   const ServerStats stats = server.Stats();
-  EXPECT_GT(stats.stream_cache.shift_hits, 0);
+  EXPECT_EQ(stats.stream_cache.output_hits, 8);
+  EXPECT_EQ(stats.stream_cache.misses, 8);
   EXPECT_EQ(stats.stream_cache.stale_rejected, 0);
+}
+
+TEST(ServerStreamCacheTest, BatchOfEightAnswersRepeatsFromTheMemo) {
+  // Four streams are answered once; then one batch of eight rides in:
+  // the four repeats must come from the memo and only the four new
+  // streams reach the model, stacked into one forward. Every answer is
+  // memcmp-equal to a plain offline Forecast.
+  CacheModeGuard guard(true);
+  Fixture f = MakeFixture("stwa_sc_batch8.bin", "ST-WA");
+  const int64_t h = f.settings.history;
+  ServerOptions opts;
+  opts.workers = 1;
+  opts.batching.max_batch = 8;
+  opts.default_deadline = std::chrono::seconds(120);
+  Server server(f.path, opts);
+  auto reference = InferenceSession::Open(f.path);
+  std::vector<Tensor> windows;
+  for (int64_t s = 0; s < 8; ++s) {
+    windows.push_back(ops::Slice(f.dataset.values, 1, 3 + s * 11, h));
+  }
+  for (int64_t s = 0; s < 4; ++s) {
+    ASSERT_TRUE(server.Submit(windows[s], s, h - 1).get().ok);
+  }
+  std::vector<std::future<Response>> futures;
+  {
+    struct HoldGuard {
+      HoldGuard() { internal::HoldBatchesForTest(true); }
+      ~HoldGuard() { internal::HoldBatchesForTest(false); }
+    } hold;
+    for (int64_t s = 0; s < 8; ++s) {
+      futures.push_back(server.Submit(windows[s], s, h - 1));
+    }
+  }
+  for (int64_t s = 0; s < 8; ++s) {
+    Response resp = futures[static_cast<size_t>(s)].get();
+    ASSERT_TRUE(resp.ok) << resp.error;
+    EXPECT_EQ(resp.batch_size, 8);
+    EXPECT_TRUE(SameBytes(resp.forecast, reference->Forecast(windows[s])))
+        << "stream " << s;
+  }
+  const ServerStats stats = server.Stats();
+  EXPECT_EQ(stats.stream_cache.output_hits, 4);
+  EXPECT_EQ(stats.stream_cache.misses, 8);
+  EXPECT_EQ(stats.stream_cache.bypass, 0);
+  EXPECT_EQ(stats.stream_cache.stale_rejected, 0);
+  std::remove(f.path.c_str());
 }
 
 TEST(ServerStreamCacheTest, DisabledModeRunsCacheFree) {
@@ -422,8 +451,8 @@ TEST(ServerStreamCacheTest, DisabledModeRunsCacheFree) {
     EXPECT_TRUE(
         SameBytes(resp.forecast, InferenceSession::Open(f.path)->Forecast(w)));
     const ServerStats stats = server.Stats();
-    EXPECT_EQ(stats.stream_cache.output_hits + stats.stream_cache.shift_hits +
-                  stats.stream_cache.misses,
+    EXPECT_EQ(stats.stream_cache.output_hits + stats.stream_cache.misses +
+                  stats.stream_cache.bypass,
               0);
   }
   std::remove(f.path.c_str());

@@ -5,8 +5,8 @@
 //       Generate the tiny quickstart-like dataset, train ST-WA for E
 //       epochs (default 2) and write a serving checkpoint — a
 //       self-contained way to produce a checkpoint for smoke tests.
-//   --ckpt <path> [--workers W] [--max-batch B] [--max-delay-us D]
-//          [--deadline-us D] [--port P] [--precision fp32|bf16|int8]
+//   --ckpt <path> [--workers W] [--max-batch B] [--deadline-us D]
+//          [--port P] [--precision fp32|bf16|int8]
 //       Serve the checkpoint. Default transport is the line protocol on
 //       stdin/stdout (see serve/protocol.h); --port instead listens on
 //       TCP with one connection thread and one StreamState per client,
@@ -35,7 +35,6 @@ struct Args {
   std::string ckpt;
   int workers = 1;
   int64_t max_batch = 8;
-  int64_t max_delay_us = 2000;
   int64_t deadline_us = 1'000'000;
   int port = 0;            // 0 = stdin/stdout
   std::string precision;   // empty = STWA_PRECISION / fp32
@@ -46,8 +45,7 @@ void PrintUsage() {
       "usage:\n"
       "  stwa_serve --train-demo <ckpt> [--epochs E]\n"
       "  stwa_serve --ckpt <path> [--workers W] [--max-batch B]\n"
-      "             [--max-delay-us D] [--deadline-us D] [--port P]\n"
-      "             [--precision fp32|bf16|int8]\n";
+      "             [--deadline-us D] [--port P] [--precision fp32|bf16|int8]\n";
 }
 
 bool ParseArgs(int argc, char** argv, Args* args) {
@@ -73,9 +71,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--max-batch") {
       if ((v = next_value(i)) == nullptr) return false;
       args->max_batch = std::atoll(v);
-    } else if (flag == "--max-delay-us") {
-      if ((v = next_value(i)) == nullptr) return false;
-      args->max_delay_us = std::atoll(v);
     } else if (flag == "--deadline-us") {
       if ((v = next_value(i)) == nullptr) return false;
       args->deadline_us = std::atoll(v);
@@ -109,7 +104,6 @@ int Serve(const Args& args) {
   serve::ServerOptions opts;
   opts.workers = args.workers;
   opts.batching.max_batch = args.max_batch;
-  opts.batching.max_delay = std::chrono::microseconds(args.max_delay_us);
   opts.default_deadline = std::chrono::microseconds(args.deadline_us);
   if (!args.precision.empty()) {
     opts.session.precision = simd::ParsePrecision(args.precision);
@@ -120,7 +114,7 @@ int Serve(const Args& args) {
             << " sensors, H=" << info.settings.history
             << " -> U=" << info.settings.horizon << ") with "
             << args.workers << " worker(s), max batch " << args.max_batch
-            << ", max delay " << args.max_delay_us << "us, precision "
+            << ", precision "
             << simd::PrecisionName(opts.session.precision) << "\n";
   if (args.port > 0) return tools::ServeTcp<serve::LineSession>(server, args.port);
   tools::ServeStdio<serve::LineSession>(server);
