@@ -463,8 +463,7 @@ void Run() {
   const std::string path = BenchOutPath("BENCH_fleet.json");
   {
     std::ofstream out(path);
-    out << "{\n  \"precision\": \"" << RunPrecisionName()
-        << "\",\n  \"profile\": \"" << RunProfileName()
+    out << "{\n  \"profile\": \"" << RunProfileName()
         << "\",\n  \"ckpt_version\": " << RunCheckpointVersion()
         << ",\n  \"smoke\": " << (smoke ? "true" : "false")
         << ",\n  \"total_streams\": " << total_streams

@@ -224,19 +224,16 @@ void BenchGemm(Rng& rng, std::vector<Measurement>* results) {
       }
     }
 
-    // Reduced-precision tiers on the same op(B): panels packed once (as a
-    // serving session does at open) and timed across the same thread
-    // sweep. The flop count stays 2mnk — the gflops column reads as
-    // effective fp32 throughput, directly comparable to the nn rows.
-    for (const simd::Precision tier :
-         {simd::Precision::kBf16, simd::Precision::kInt8}) {
-      const auto packed = simd::PackWeights(b.data(), k, n, /*trans=*/false,
-                                            tier, /*scales=*/nullptr,
-                                            /*bf16_trunc=*/false);
+    // The bf16 tier on the same op(B): panels packed once (as a serving
+    // session does at open) and timed across the same thread sweep. The
+    // flop count stays 2mnk — the gflops column reads as effective fp32
+    // throughput, directly comparable to the nn rows.
+    {
+      const auto packed = simd::PackWeights(b.data(), k, n, /*trans=*/false);
       Tensor c = Tensor::Uninit({m, n});
       for (int threads : ThreadCounts()) {
         runtime::SetNumThreads(threads);
-        GemmRow row{m, n, k, simd::PrecisionName(tier), threads};
+        GemmRow row{m, n, k, "bf16", threads};
         row.seconds = TimeBest(reps, [&] {
           simd::GemmLowp(a.data(), *packed, c.data(), m, /*trans_a=*/false);
         });
@@ -276,23 +273,19 @@ void BenchGemm(Rng& rng, std::vector<Measurement>* results) {
   };
   const double fp32_g = headline("nn");
   const double bf16_g = headline("bf16");
-  const double int8_g = headline("int8");
   std::cout << "gemm lowp " << square << "^3 1t: fp32 " << fp32_g
             << ", bf16 " << bf16_g << " ("
             << FormatFloat(fp32_g > 0 ? bf16_g / fp32_g : 0.0, 2)
-            << "x), int8 " << int8_g << " ("
-            << FormatFloat(fp32_g > 0 ? int8_g / fp32_g : 0.0, 2)
             << "x) GFLOP/s, kernel=" << simd::LowpKernelName() << "\n";
 
   const std::string path = BenchOutPath("BENCH_gemm.json");
   std::ofstream out(path);
-  out << "{\n  \"isa\": \"" << simd::IsaName() << "\",\n  \"precision\": \""
-      << RunPrecisionName() << "\",\n  \"lowp\": {\"kernel\": \""
+  out << "{\n  \"isa\": \"" << simd::IsaName()
+      << "\",\n  \"lowp\": {\"kernel\": \""
       << simd::LowpKernelName() << "\", \"square\": " << square
       << ", \"fp32_gflops\": " << fp32_g << ", \"bf16_gflops\": " << bf16_g
-      << ", \"int8_gflops\": " << int8_g << ", \"bf16_vs_fp32\": "
-      << (fp32_g > 0 ? bf16_g / fp32_g : 0.0) << ", \"int8_vs_fp32\": "
-      << (fp32_g > 0 ? int8_g / fp32_g : 0.0) << "},\n  \"rows\": [\n";
+      << ", \"bf16_vs_fp32\": " << (fp32_g > 0 ? bf16_g / fp32_g : 0.0)
+      << "},\n  \"rows\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
     const GemmRow& r = rows[i];
     out << "    {\"m\": " << r.m << ", \"n\": " << r.n << ", \"k\": " << r.k
@@ -502,8 +495,7 @@ void BenchGraphPlan(std::vector<Measurement>* results) {
 
   const std::string path = BenchOutPath("BENCH_graph.json");
   std::ofstream out(path);
-  out << "{\n  \"model\": \"ST-WA\",\n  \"precision\": \""
-      << RunPrecisionName() << "\",\n  \"batch_x\": \""
+  out << "{\n  \"model\": \"ST-WA\",\n  \"batch_x\": \""
       << ShapeToString(batch.x.shape()) << "\",\n  \"plan\": {"
       << "\"captured_nodes\": " << stats.captured_nodes
       << ", \"forward_ops\": " << stats.forward_ops
@@ -647,8 +639,8 @@ void Run() {
 
   const std::string path = BenchOutPath("BENCH_kernels.json");
   std::ofstream out(path);
-  out << "{\n  \"simd\": \"" << simd::IsaName() << "\",\n  \"precision\": \""
-      << RunPrecisionName() << "\",\n  \"measurements\": [\n";
+  out << "{\n  \"simd\": \"" << simd::IsaName()
+      << "\",\n  \"measurements\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
     const Measurement& m = results[i];
     out << "    {\"kernel\": \"" << m.kernel << "\", \"size\": " << m.size

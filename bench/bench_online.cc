@@ -237,8 +237,7 @@ void Run() {
   const std::string path = BenchOutPath("BENCH_online.json");
   {
     std::ofstream out(path);
-    out << "{\n  \"precision\": \"" << RunPrecisionName()
-        << "\",\n  \"profile\": \"" << RunProfileName()
+    out << "{\n  \"profile\": \"" << RunProfileName()
         << "\",\n  \"smoke\": " << (smoke ? "true" : "false")
         << ",\n  \"rows\": " << rows
         << ",\n  \"sensors\": " << stream.num_sensors()

@@ -7,15 +7,14 @@
 //
 // Three reduced-precision sections ride on top (DESIGN.md §4g):
 //   * tier_throughput — batch-16 server throughput per weight tier
-//     (fp32/bf16/int8) on a GEMM-heavier frozen ST-WA, with per-tier
+//     (fp32/bf16) on a GEMM-heavier frozen ST-WA, with per-tier
 //     served-vs-offline bit checks;
 //   * tier_determinism — per tier, forecasts swept across {1,4} threads x
 //     {single, batched} must reproduce the ambient reference byte-for-byte
 //     (the intra-tier determinism contract);
 //   * tier_accuracy — every registered Table IV model: MAE/RMSE vs ground
 //     truth per tier and the relative delta vs fp32. The run fails if
-//     int8 MAE drifts > 1% or bf16 > 0.1% relative, or any bit check
-//     fires.
+//     bf16 MAE drifts > 0.1% relative, or any bit check fires.
 //
 // STWA_BENCH_SMOKE=1 shrinks the request count and the accuracy model
 // list to a seconds-long CI run that still produces the same JSON.
@@ -60,11 +59,11 @@ struct ModeResult {
 };
 
 /// The serving tiers, fp32 first (index 0 is the accuracy reference).
-constexpr std::array<simd::Precision, 3> kTiers = {
-    simd::Precision::kFp32, simd::Precision::kBf16, simd::Precision::kInt8};
+constexpr std::array<simd::Precision, 2> kTiers = {simd::Precision::kFp32,
+                                                   simd::Precision::kBf16};
 
-/// Relative MAE drift bound vs fp32, percent, per tier (fp32 trivially 0).
-constexpr std::array<double, 3> kMaeDeltaBoundPct = {0.0, 0.1, 1.0};
+/// Relative MAE drift bound of bf16 vs fp32, percent.
+constexpr double kBf16MaeDeltaBoundPct = 0.1;
 
 struct TierDeterminism {
   std::string precision;
@@ -76,10 +75,10 @@ struct TierDeterminism {
 /// relative drift vs the fp32 row.
 struct TierAccuracy {
   std::string model;
-  std::array<double, 3> mae = {0.0, 0.0, 0.0};
-  std::array<double, 3> rmse = {0.0, 0.0, 0.0};
-  std::array<double, 3> mae_delta_pct = {0.0, 0.0, 0.0};
-  std::array<double, 3> rmse_delta_pct = {0.0, 0.0, 0.0};
+  std::array<double, 2> mae = {0.0, 0.0};
+  std::array<double, 2> rmse = {0.0, 0.0};
+  double mae_delta_pct = 0.0;  // bf16 vs fp32
+  double rmse_delta_pct = 0.0;
 };
 
 /// One streaming workload arm: live streams advancing one observation at
@@ -348,11 +347,8 @@ void Run() {
   }
   const double bf16_vs_fp32 =
       tier_modes[0].rps > 0 ? tier_modes[1].rps / tier_modes[0].rps : 0.0;
-  const double int8_vs_fp32 =
-      tier_modes[0].rps > 0 ? tier_modes[2].rps / tier_modes[0].rps : 0.0;
   std::cout << "  batch-16 throughput vs fp32: bf16 "
-            << FormatFloat(bf16_vs_fp32, 2) << "x, int8 "
-            << FormatFloat(int8_vs_fp32, 2) << "x\n";
+            << FormatFloat(bf16_vs_fp32, 2) << "x\n";
 
   // Accuracy across the model registry: random-init weights (the drift
   // under quantisation is a property of the numerics, not of training),
@@ -395,21 +391,18 @@ void Run() {
       row.mae[t] = fm.mae;
       row.rmse[t] = fm.rmse;
     }
-    for (size_t t = 1; t < kTiers.size(); ++t) {
-      if (row.mae[0] > 0.0) {
-        row.mae_delta_pct[t] =
-            100.0 * std::abs(row.mae[t] - row.mae[0]) / row.mae[0];
-      }
-      if (row.rmse[0] > 0.0) {
-        row.rmse_delta_pct[t] =
-            100.0 * std::abs(row.rmse[t] - row.rmse[0]) / row.rmse[0];
-      }
-      if (row.mae_delta_pct[t] > kMaeDeltaBoundPct[t]) acc_violation = true;
+    if (row.mae[0] > 0.0) {
+      row.mae_delta_pct =
+          100.0 * std::abs(row.mae[1] - row.mae[0]) / row.mae[0];
     }
+    if (row.rmse[0] > 0.0) {
+      row.rmse_delta_pct =
+          100.0 * std::abs(row.rmse[1] - row.rmse[0]) / row.rmse[0];
+    }
+    if (row.mae_delta_pct > kBf16MaeDeltaBoundPct) acc_violation = true;
     acc_rows.push_back(row);
     std::cout << "  " << name << ": fp32 MAE " << FormatFloat(row.mae[0], 3)
-              << ", bf16 delta " << FormatFloat(row.mae_delta_pct[1], 4)
-              << "%, int8 delta " << FormatFloat(row.mae_delta_pct[2], 4)
+              << ", bf16 delta " << FormatFloat(row.mae_delta_pct, 4)
               << "%\n";
   }
 
@@ -575,8 +568,7 @@ void Run() {
 
   const std::string path = BenchOutPath("BENCH_serve.json");
   std::ofstream out(path);
-  out << "{\n  \"precision\": \"" << RunPrecisionName()
-      << "\",\n  \"profile\": \"" << RunProfileName()
+  out << "{\n  \"profile\": \"" << RunProfileName()
       << "\",\n  \"ckpt_version\": " << RunCheckpointVersion()
       << ",\n  \"num_requests\": " << num_requests
       << ",\n  \"distinct_windows\": " << distinct_windows
@@ -599,8 +591,7 @@ void Run() {
   out << "  ],\n  \"tier_throughput\": {\"requests\": " << tier_requests
       << ", \"d_model\": " << heavy.d_model
       << ", \"predictor_hidden\": " << heavy.predictor_hidden
-      << ", \"bf16_vs_fp32\": " << bf16_vs_fp32
-      << ", \"int8_vs_fp32\": " << int8_vs_fp32 << ", \"modes\": [\n";
+      << ", \"bf16_vs_fp32\": " << bf16_vs_fp32 << ", \"modes\": [\n";
   for (size_t i = 0; i < tier_modes.size(); ++i) {
     const ModeResult& m = tier_modes[i];
     out << "    {\"precision\": \"" << m.name
@@ -623,11 +614,8 @@ void Run() {
     out << "    {\"model\": \"" << r.model << "\", \"fp32_mae\": " << r.mae[0]
         << ", \"fp32_rmse\": " << r.rmse[0] << ", \"bf16_mae\": " << r.mae[1]
         << ", \"bf16_rmse\": " << r.rmse[1]
-        << ", \"bf16_mae_delta_pct\": " << r.mae_delta_pct[1]
-        << ", \"bf16_rmse_delta_pct\": " << r.rmse_delta_pct[1]
-        << ", \"int8_mae\": " << r.mae[2] << ", \"int8_rmse\": " << r.rmse[2]
-        << ", \"int8_mae_delta_pct\": " << r.mae_delta_pct[2]
-        << ", \"int8_rmse_delta_pct\": " << r.rmse_delta_pct[2] << "}"
+        << ", \"bf16_mae_delta_pct\": " << r.mae_delta_pct
+        << ", \"bf16_rmse_delta_pct\": " << r.rmse_delta_pct << "}"
         << (i + 1 < acc_rows.size() ? "," : "") << "\n";
   }
   out << "  ],\n  \"forecast_allocs\": {\"pool_requests_per_call\": "
@@ -679,8 +667,7 @@ void Run() {
     }
   }
   if (acc_violation) {
-    std::cerr << "ERROR: a tier's MAE drifted past its bound vs fp32 "
-                 "(bf16 0.1%, int8 1%)\n";
+    std::cerr << "ERROR: bf16 MAE drifted past its 0.1% bound vs fp32\n";
     std::exit(1);
   }
   for (const StreamingArm& a : stream_arms) {

@@ -8,7 +8,6 @@
 #include "common/string_util.h"
 #include "runtime/parallel.h"
 #include "serve/stream_cache.h"
-#include "simd/lowp.h"
 #include "simd/simd.h"
 #include "tensor/buffer_pool.h"
 
@@ -170,15 +169,10 @@ void ReportRuntime() {
             << (pool_env.empty() ? ""
                                  : " (STWA_DISABLE_POOL=" + pool_env + ")")
             << " simd=" << simd::IsaName()
-            << " precision=" << RunPrecisionName()
             << " stream_cache="
             << (serve::StreamCacheEnabled() ? "on" : "off")
             << " profile=" << g_run_profile
             << " ckpt_version=" << g_run_ckpt_version << "\n";
-}
-
-const char* RunPrecisionName() {
-  return simd::PrecisionName(simd::EnvPrecision());
 }
 
 void SetRunCheckpoint(const std::string& profile, int64_t ckpt_version) {

@@ -73,14 +73,8 @@ train::TrainResult RunModel(const std::string& model_name,
 std::vector<std::string> MetricCells(const metrics::ForecastMetrics& m);
 
 /// Prints the execution-runtime configuration (thread count, buffer-pool
-/// state, SIMD ISA and precision tier) so every bench records what it ran
-/// with.
+/// state, SIMD ISA) so every bench records what it ran with.
 void ReportRuntime();
-
-/// Name of the run's default serving precision tier (STWA_PRECISION;
-/// "fp32" when unset). Benches stamp this into their JSON next to the
-/// "simd" field.
-const char* RunPrecisionName();
 
 /// Stamps the serving profile name and checkpoint version this run serves
 /// at into the [runtime] banner (and the accessors below, for JSON).

@@ -84,20 +84,5 @@ double FusionGraphGb(const MemoryWorkload& w) {
 
 bool WouldOom(double gb, double budget_gb) { return gb > budget_gb; }
 
-int64_t ServingWeightBytes(int64_t weights, int64_t channels,
-                           simd::Precision precision) {
-  STWA_CHECK(weights >= 0 && channels >= 0, "bad serving-weight counts");
-  int64_t bytes = weights * simd::WeightBytes(precision);
-  if (precision == simd::Precision::kInt8) bytes += 4 * channels;
-  return bytes;
-}
-
-double ServingWeightsGb(int64_t weights, int64_t channels,
-                        simd::Precision precision) {
-  return static_cast<double>(ServingWeightBytes(weights, channels,
-                                                precision)) /
-         kGb;
-}
-
 }  // namespace core
 }  // namespace stwa

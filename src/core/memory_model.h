@@ -25,8 +25,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "simd/lowp.h"
-
 namespace stwa {
 namespace core {
 
@@ -68,19 +66,6 @@ double FusionGraphGb(const MemoryWorkload& w);
 
 /// True when the estimate exceeds the device budget (paper: 16 GB V100).
 bool WouldOom(double gb, double budget_gb = 16.0);
-
-/// Resident bytes for `weights` GEMM weight values served at `precision`
-/// (simd/lowp.h): 4 bytes at fp32, 2 at bf16, 1 at int8 — plus one fp32
-/// dequantisation scale per output channel for int8 (`channels` total
-/// across all layers; ignored for the other tiers). Activations are fp32
-/// in every tier and are not counted here.
-int64_t ServingWeightBytes(int64_t weights, int64_t channels,
-                           simd::Precision precision);
-
-/// Same estimate in GB, for capacity statements about how many model
-/// replicas fit a serving budget.
-double ServingWeightsGb(int64_t weights, int64_t channels,
-                        simd::Precision precision);
 
 }  // namespace core
 }  // namespace stwa

@@ -2,7 +2,7 @@
 //
 //   profile <name> ckpt=<path> [tiles=T] [shards=K] [workers=W]
 //           [max_batch=B] [capacity=C] [deadline_us=D]
-//           [precision=fp32|bf16|int8] [serial_kernels=0|1]
+//           [precision=fp32|bf16] [serial_kernels=0|1]
 //   quota <tenant> rate=<tokens/s> [burst=<cap>]
 //   default_quota rate=<tokens/s> [burst=<cap>]
 //

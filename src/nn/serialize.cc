@@ -15,9 +15,10 @@ namespace nn {
 namespace {
 
 constexpr uint32_t kMagic = 0x53545741;  // "STWA"
-// Version 3 marks checkpoints whose metadata may carry reduced-precision
-// serving entries (per-channel int8 scales, see serve/checkpoint.cc); the
-// byte layout is unchanged from version 2, so this build still reads both.
+// Version 3 marked checkpoints whose metadata may carry per-channel int8
+// weight scales; that tier is gone and readers ignore legacy int8_scale.*
+// entries. The byte layout is unchanged from version 2, so this build
+// still reads both.
 // Version 2 added the metadata blob and the validate-before-commit load.
 // Version 1 files (pre-serving checkpoints) are rejected with a clear
 // message; they were never produced outside of transient test runs.

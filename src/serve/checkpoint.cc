@@ -1,39 +1,13 @@
 #include "serve/checkpoint.h"
 
-#include <cstdio>
 #include <sstream>
 
 #include "common/check.h"
 #include "common/string_util.h"
-#include "simd/gemm_lowp.h"
 
 namespace stwa {
 namespace serve {
 namespace {
-
-/// Metadata key prefix for baked per-channel int8 scales.
-constexpr char kInt8ScalePrefix[] = "int8_scale.";
-
-std::string JoinFloats(const std::vector<float>& values) {
-  std::string out;
-  char buf[32];
-  for (size_t i = 0; i < values.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), "%.9g", static_cast<double>(values[i]));
-    if (i > 0) out += ',';
-    out += buf;
-  }
-  return out;
-}
-
-std::vector<float> SplitFloats(const std::string& s) {
-  std::vector<float> out;
-  for (const std::string& part : Split(s, ',')) {
-    const std::string t = Trim(part);
-    if (t.empty()) continue;
-    out.push_back(std::stof(t));
-  }
-  return out;
-}
 
 std::string JoinInts(const std::vector<int64_t>& values) {
   std::ostringstream oss;
@@ -82,20 +56,7 @@ void SaveServingCheckpoint(const nn::Module& module, const ServingInfo& info,
                            const std::string& path) {
   STWA_CHECK(!info.model.empty(), "serving checkpoint needs a model name");
   STWA_CHECK(info.num_sensors > 0, "serving checkpoint needs num_sensors");
-  nn::CheckpointMeta meta = MakeServingMeta(info);
-  // Bake per-output-channel int8 scales for every rank-2 parameter (the
-  // GEMM weights reduced-precision sessions prepack). Computing them at
-  // save time pins the quantisation grid in the artifact: any session —
-  // or a future build with a different scale heuristic — serves the same
-  // int8 model this checkpoint describes.
-  for (const auto& [name, var] : module.NamedParameters()) {
-    const Tensor& t = var.value();
-    if (t.rank() != 2) continue;
-    meta.Set(kInt8ScalePrefix + name,
-             JoinFloats(simd::Int8ChannelScales(t.data(), t.dim(0), t.dim(1),
-                                                /*trans=*/false)));
-  }
-  nn::SaveParameters(module, path, meta);
+  nn::SaveParameters(module, path, MakeServingMeta(info));
 }
 
 bool IsServingMeta(const nn::CheckpointMeta& meta) {
@@ -126,12 +87,8 @@ ServingInfo ReadServingInfo(const std::string& path) {
   info.scaler_mean = meta.GetFloat("scaler_mean");
   info.scaler_std = meta.GetFloat("scaler_std");
   info.ckpt_version = std::stoll(meta.GetOr("ckpt_version", "1"));
-  const std::string prefix = kInt8ScalePrefix;
-  for (const auto& [key, value] : meta.entries()) {
-    if (key.compare(0, prefix.size(), prefix) == 0) {
-      info.int8_scales[key.substr(prefix.size())] = SplitFloats(value);
-    }
-  }
+  // Any other entry is ignored: older v3 files also carry per-channel
+  // weight scales for a retired precision tier (nn/serialize.cc).
   return info;
 }
 

@@ -7,7 +7,6 @@
 #ifndef STWA_SERVE_CHECKPOINT_H_
 #define STWA_SERVE_CHECKPOINT_H_
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -34,12 +33,6 @@ struct ServingInfo {
   /// an operator can tell *which* weights answered a request. Pre-existing
   /// files without the entry read back as 1.
   int64_t ckpt_version = 1;
-  /// Per-output-channel int8 weight scales baked at save time, keyed by
-  /// parameter name (rank-2 parameters only; serialize v3 metadata).
-  /// Empty for pre-v3 checkpoints — int8 sessions then recompute the
-  /// scales from the loaded fp32 weights, which yields the same values
-  /// (the quantiser is deterministic), just without the save-time record.
-  std::map<std::string, std::vector<float>> int8_scales;
 };
 
 /// Encodes `info` into checkpoint metadata entries.

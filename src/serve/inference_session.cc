@@ -58,24 +58,8 @@ void InferenceSession::RegisterLowpWeights() {
   for (const auto& [name, var] : model_->NamedParameters()) {
     const Tensor& t = var.value();
     if (t.rank() != 2) continue;
-    const int64_t k = t.dim(0);
-    const int64_t n = t.dim(1);
-    if (k > (int64_t{1} << 16)) continue;  // outside the exact-i32 window
-    const std::vector<float>* scales = nullptr;
-    if (config_.precision == simd::Precision::kInt8) {
-      const auto it = info_.int8_scales.find(name);
-      if (it != info_.int8_scales.end()) {
-        STWA_CHECK(static_cast<int64_t>(it->second.size()) == n,
-                   "checkpoint bakes ", it->second.size(),
-                   " int8 scales for '", name, "' but the parameter has ",
-                   n, " output channels — the file is inconsistent");
-        scales = &it->second;
-      }
-    }
-    lowp::Register(t.data(),
-                   simd::PackWeights(t.data(), k, n, /*trans=*/false,
-                                     config_.precision, scales,
-                                     /*bf16_trunc=*/false));
+    lowp::Register(t.data(), simd::PackWeights(t.data(), t.dim(0), t.dim(1),
+                                               /*trans=*/false));
     lowp_keys_.push_back(t.data());
   }
 }

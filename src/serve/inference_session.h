@@ -31,13 +31,12 @@ namespace serve {
 /// Per-session serving configuration.
 struct SessionConfig {
   /// Weight precision tier for the session's GEMMs (simd/lowp.h):
-  /// kFp32 serves the checkpoint bytes as-is; kBf16 and kInt8 prepack
-  /// every rank-2 parameter into reduced-precision panels at open, so
-  /// the hot path never repacks. Activations stay fp32 in every tier,
-  /// and within one tier outputs are bit-identical across thread counts,
-  /// batching and plan toggles. Defaults to STWA_PRECISION
-  /// (fp32 / bf16 / int8; unset means fp32).
-  simd::Precision precision = simd::EnvPrecision();
+  /// kFp32 serves the checkpoint bytes as-is; kBf16 prepacks every
+  /// rank-2 parameter into bf16 panels at open, so the hot path never
+  /// repacks. Activations stay fp32 in both tiers, and within one tier
+  /// outputs are bit-identical across thread counts, batching and plan
+  /// toggles.
+  simd::Precision precision = simd::Precision::kFp32;
 };
 
 /// True for models whose construction depends only on sensor/feature
@@ -126,9 +125,8 @@ class InferenceSession {
                    std::unique_ptr<train::ForecastModel> model,
                    SessionConfig config);
 
-  /// Packs every rank-2 parameter into panels for the session tier and
-  /// registers them in the lowp weight cache (no-op at kFp32). int8
-  /// scales come from the checkpoint's baked metadata when present.
+  /// Packs every rank-2 parameter into bf16 panels and registers them in
+  /// the lowp weight cache (no-op at kFp32).
   void RegisterLowpWeights();
 
   ServingInfo info_;

@@ -1,21 +1,19 @@
 #include "simd/gemm_lowp.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/check.h"
 #include "runtime/parallel.h"
 #include "tensor/buffer_pool.h"
 
 // Kernel tier selection. Inside an AVX2 build, AVX-512 (F+BW for the
-// widening loads, VNNI for dpbusd) upgrades both microkernels to 512-bit
-// vectors — double the fp32 FMA throughput of the 256-bit fp32 path on
-// hosts with two 512-bit FMA pipes, which is what makes the bf16 tier
-// *faster* than fp32 despite widening in-kernel. Without AVX-512 the
-// 256-bit fallbacks (widen+FMA for bf16, pmaddwd for int8) keep the same
-// arithmetic; non-AVX2 builds use the scalar reference paths.
-#if defined(STWA_SIMD_AVX2) && defined(__AVX512F__) && \
-    defined(__AVX512BW__) && defined(__AVX512VNNI__)
+// widening shuffles) upgrades the microkernel to 512-bit vectors — double
+// the fp32 FMA throughput of the 256-bit fp32 path on hosts with two
+// 512-bit FMA pipes, which is what makes the bf16 tier *faster* than fp32
+// despite widening in-kernel. Without AVX-512 the 256-bit fallback keeps
+// the same per-element fma chain; non-AVX2 builds use the scalar
+// reference path.
+#if defined(STWA_SIMD_AVX2) && defined(__AVX512F__) && defined(__AVX512BW__)
 #define STWA_LOWP_AVX512 1
 #endif
 
@@ -23,19 +21,16 @@ namespace stwa {
 namespace simd {
 namespace {
 
-constexpr int64_t kLowpMR = 6;
 #if defined(STWA_LOWP_AVX512)
 constexpr int64_t kLowpNR = 32;
-// The bf16 kernel runs taller tiles than int8: its per-k overhead is the
-// two widening shuffles, so amortising them over 12 rows (24 of the 32
-// zmm registers as accumulators) buys ~10% over 6 rows.
+// The per-k overhead is the two widening shuffles, so amortising them over
+// 12 rows (24 of the 32 zmm registers as accumulators) buys ~10% over 6.
 constexpr int64_t kBf16MR = 12;
 #elif defined(STWA_SIMD_AVX2)
 constexpr int64_t kLowpNR = 16;
-constexpr int64_t kBf16MR = kLowpMR;
+constexpr int64_t kBf16MR = 6;
 #else
 constexpr int64_t kLowpNR = 1;  // column-major panels for the scalar tier
-constexpr int64_t kBf16MR = kLowpMR;
 #endif
 
 // Word offset of logical column `c` within one k-row of a bf16 panel.
@@ -86,38 +81,6 @@ void PackATileF32(const float* a, float* dst, int64_t i0, int64_t rows,
   }
 }
 
-// Per-row symmetric int8 quantisation of op(A) into a row-major scratch.
-// Row absmax is an exact max reduction in ascending k order and the
-// quantiser rounds to nearest-even, so the bytes are identical however the
-// rows are chunked across threads — and identical to what GemmInt8Ref
-// computes.
-template <typename Q, int kOffset>
-void QuantizeOpA(const float* a, int64_t m, int64_t k, bool trans_a,
-                 Q* qa, int64_t stride, float* sa) {
-  runtime::ParallelFor(
-      0, m, std::max<int64_t>(1, kMinChunkFlops / std::max<int64_t>(1, k)),
-      [&](int64_t r0, int64_t r1) {
-        for (int64_t i = r0; i < r1; ++i) {
-          float absmax = 0.0f;
-          for (int64_t kk = 0; kk < k; ++kk) {
-            const float v = std::fabs(OpA(a, i, kk, k, m, trans_a));
-            absmax = v > absmax ? v : absmax;
-          }
-          const float scale = Int8Scale(absmax, kInt8QMax);
-          sa[i] = scale;
-          Q* row = qa + i * stride;
-          for (int64_t kk = 0; kk < k; ++kk) {
-            const int8_t q =
-                QuantizeInt8(OpA(a, i, kk, k, m, trans_a), scale, kInt8QMax);
-            row[kk] = static_cast<Q>(q + kOffset);
-          }
-          for (int64_t kk = k; kk < stride; ++kk) {
-            row[kk] = static_cast<Q>(kOffset);
-          }
-        }
-      });
-}
-
 int64_t PanelFlopGrain(int64_t m, int64_t k) {
   return std::max<int64_t>(
       1, kMinChunkFlops / std::max<int64_t>(1, k * kLowpNR * m));
@@ -146,41 +109,6 @@ void ScalarBf16(const float* a, const PackedWeights& w, float* c, int64_t m,
                               F32FromBf16(col[kk * nr]), acc);
             }
             cr[j] = acc;
-          }
-        }
-      });
-}
-
-// The integer dot is exact, so this reproduces the vector kernels'
-// integers bit-for-bit; the dequant applies the same two fixed-order
-// roundings ((sa*sb) then *dot) the kernels use.
-void ScalarInt8(const float* a, const PackedWeights& w, float* c, int64_t m,
-                bool trans_a) {
-  const int64_t k = w.k;
-  const int64_t n = w.n;
-  const int64_t nr = w.nr;
-  const int64_t kq = (k + 3) / 4;
-  const int64_t qa_floats = (m * k + 3) / 4;
-  auto qbuf = pool::Acquire(qa_floats + m);
-  int8_t* qa = reinterpret_cast<int8_t*>(qbuf->data());
-  float* sa = qbuf->data() + qa_floats;
-  QuantizeOpA<int8_t, 0>(a, m, k, trans_a, qa, k, sa);
-  runtime::ParallelFor(
-      0, m,
-      std::max<int64_t>(1, kMinChunkFlops / std::max<int64_t>(1, k * n)),
-      [&](int64_t r0, int64_t r1) {
-        for (int64_t i = r0; i < r1; ++i) {
-          const int8_t* qr = qa + i * k;
-          float* cr = c + i * n;
-          for (int64_t j = 0; j < n; ++j) {
-            const int8_t* col =
-                w.q8.data() + ((j / nr) * kq * nr + (j % nr)) * 4;
-            int32_t dot = 0;
-            for (int64_t kk = 0; kk < k; ++kk) {
-              dot += static_cast<int32_t>(qr[kk]) *
-                     static_cast<int32_t>(col[(kk / 4) * nr * 4 + kk % 4]);
-            }
-            cr[j] = static_cast<float>(dot) * (sa[i] * w.scales[j]);
           }
         }
       });
@@ -228,65 +156,14 @@ void Bf16Tile512(const float* ap, const uint16_t* bp, float* c, int64_t ldc,
   }
 }
 
-// 6 x 32 int8 tile via dpbusd: activations carry a +128 unsigned offset,
-// corrected exactly with 128 * colsum after the loop, so the integer dots
-// equal ScalarInt8's signed dots bit-for-bit.
-void Int8Tile512(const uint8_t* const* qa_rows, const int8_t* bp,
-                 const float* sa, const float* sb, const int32_t* csum,
-                 float* c, int64_t ldc, int64_t kq, int64_t rows,
-                 int64_t cols) {
-  __m512i acc[kLowpMR][2];
-  for (int64_t r = 0; r < kLowpMR; ++r) {
-    acc[r][0] = _mm512_setzero_si512();
-    acc[r][1] = _mm512_setzero_si512();
-  }
-  for (int64_t q = 0; q < kq; ++q) {
-    const __m512i b0 = _mm512_loadu_si512(bp + q * kLowpNR * 4);
-    const __m512i b1 = _mm512_loadu_si512(bp + q * kLowpNR * 4 + 64);
-    for (int64_t r = 0; r < kLowpMR; ++r) {
-      uint32_t quad;
-      std::memcpy(&quad, qa_rows[r] + q * 4, sizeof(quad));
-      const __m512i av = _mm512_set1_epi32(static_cast<int32_t>(quad));
-      acc[r][0] = _mm512_dpbusd_epi32(acc[r][0], av, b0);
-      acc[r][1] = _mm512_dpbusd_epi32(acc[r][1], av, b1);
-    }
-  }
-  const __mmask16 m0 =
-      cols >= 16 ? 0xFFFF : static_cast<__mmask16>((1u << cols) - 1);
-  const __mmask16 m1 =
-      cols >= 32 ? 0xFFFF
-                 : (cols > 16 ? static_cast<__mmask16>((1u << (cols - 16)) - 1)
-                              : 0);
-  const __m512i corr0 =
-      _mm512_slli_epi32(_mm512_maskz_loadu_epi32(m0, csum), 7);
-  const __m512i corr1 =
-      _mm512_slli_epi32(_mm512_maskz_loadu_epi32(m1, csum + 16), 7);
-  const __m512 sb0 = _mm512_maskz_loadu_ps(m0, sb);
-  const __m512 sb1 = _mm512_maskz_loadu_ps(m1, sb + 16);
-  for (int64_t r = 0; r < rows; ++r) {
-    float* cr = c + r * ldc;
-    const __m512 sav = _mm512_set1_ps(sa[r]);
-    const __m512 f0 = _mm512_mul_ps(
-        _mm512_cvtepi32_ps(_mm512_sub_epi32(acc[r][0], corr0)),
-        _mm512_mul_ps(sav, sb0));
-    _mm512_mask_storeu_ps(cr, m0, f0);
-    if (m1) {
-      const __m512 f1 = _mm512_mul_ps(
-          _mm512_cvtepi32_ps(_mm512_sub_epi32(acc[r][1], corr1)),
-          _mm512_mul_ps(sav, sb1));
-      _mm512_mask_storeu_ps(cr + 16, m1, f1);
-    }
-  }
-}
-
 #elif defined(STWA_SIMD_AVX2)
 
 // 6 x 16 bf16 tile, 256-bit: same chain shape as Bf16Tile512 (and
 // ScalarBf16) at half the width.
 void Bf16Tile256(const float* ap, const uint16_t* bp, float* c, int64_t ldc,
                  int64_t k, int64_t rows, int64_t cols) {
-  __m256 acc[kLowpMR][2];
-  for (int64_t r = 0; r < kLowpMR; ++r) {
+  __m256 acc[kBf16MR][2];
+  for (int64_t r = 0; r < kBf16MR; ++r) {
     acc[r][0] = _mm256_setzero_ps();
     acc[r][1] = _mm256_setzero_ps();
   }
@@ -297,8 +174,8 @@ void Bf16Tile256(const float* ap, const uint16_t* bp, float* c, int64_t ldc,
         _mm256_cvtepu16_epi32(_mm256_castsi256_si128(raw)), 16));
     const __m256 b1 = _mm256_castsi256_ps(_mm256_slli_epi32(
         _mm256_cvtepu16_epi32(_mm256_extracti128_si256(raw, 1)), 16));
-    const float* ar = ap + kk * kLowpMR;
-    for (int64_t r = 0; r < kLowpMR; ++r) {
+    const float* ar = ap + kk * kBf16MR;
+    for (int64_t r = 0; r < kBf16MR; ++r) {
       const __m256 av = _mm256_set1_ps(ar[r]);
       acc[r][0] = _mm256_fmadd_ps(av, b0, acc[r][0]);
       acc[r][1] = _mm256_fmadd_ps(av, b1, acc[r][1]);
@@ -314,46 +191,6 @@ void Bf16Tile256(const float* ap, const uint16_t* bp, float* c, int64_t ldc,
       StorePartial(Vec{acc[r][1]}, cr + 8, cols - 8);
     } else {
       StorePartial(Vec{acc[r][0]}, cr, cols);
-    }
-  }
-}
-
-// 6 x 16 int8 tile via pmaddwd on i16-widened operands: exact i32
-// accumulation, no unsigned offset needed, identical integers to
-// ScalarInt8 / the VNNI kernel.
-void Int8Tile256(const int16_t* const* qa_rows, const int16_t* bp,
-                 const float* sa, const float* sb, float* c, int64_t ldc,
-                 int64_t kp, int64_t rows, int64_t cols) {
-  __m256i acc[kLowpMR][2];
-  for (int64_t r = 0; r < kLowpMR; ++r) {
-    acc[r][0] = _mm256_setzero_si256();
-    acc[r][1] = _mm256_setzero_si256();
-  }
-  for (int64_t q = 0; q < kp; ++q) {
-    const __m256i b0 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(bp + q * kLowpNR * 2));
-    const __m256i b1 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(bp + q * kLowpNR * 2 + 16));
-    for (int64_t r = 0; r < kLowpMR; ++r) {
-      uint32_t pair;
-      std::memcpy(&pair, qa_rows[r] + q * 2, sizeof(pair));
-      const __m256i av = _mm256_set1_epi32(static_cast<int32_t>(pair));
-      acc[r][0] = _mm256_add_epi32(acc[r][0], _mm256_madd_epi16(av, b0));
-      acc[r][1] = _mm256_add_epi32(acc[r][1], _mm256_madd_epi16(av, b1));
-    }
-  }
-  const int64_t c0 = std::min<int64_t>(cols, 8);
-  const int64_t c1 = std::max<int64_t>(cols - 8, 0);
-  const Vec sb0 = LoadPartial(sb, c0);
-  const Vec sb1 = c1 > 0 ? LoadPartial(sb + 8, c1) : Vec::Zero();
-  for (int64_t r = 0; r < rows; ++r) {
-    float* cr = c + r * ldc;
-    const Vec sav = Vec::Broadcast(sa[r]);
-    const Vec f0 = Vec{_mm256_cvtepi32_ps(acc[r][0])} * (sav * sb0);
-    StorePartial(f0, cr, c0);
-    if (c1 > 0) {
-      const Vec f1 = Vec{_mm256_cvtepi32_ps(acc[r][1])} * (sav * sb1);
-      StorePartial(f1, cr + 8, c1);
     }
   }
 }
@@ -399,188 +236,36 @@ void VectorBf16(const float* a, const PackedWeights& w, float* c, int64_t m,
       });
 }
 
-void VectorInt8(const float* a, const PackedWeights& w, float* c, int64_t m,
-                bool trans_a) {
-  const int64_t k = w.k;
-  const int64_t n = w.n;
-#if defined(STWA_LOWP_AVX512)
-  // Row-major u8 activations with the +128 offset, k padded to quads.
-  using AQ = uint8_t;
-  constexpr int kAOffset = 128;
-  const int64_t stride = (k + 3) / 4 * 4;
-#else
-  // Row-major i16 activations (pmaddwd operand), k padded to pairs.
-  using AQ = int16_t;
-  constexpr int kAOffset = 0;
-  const int64_t stride = (k + 1) / 2 * 2;
-#endif
-  const int64_t qa_floats =
-      (m * stride * static_cast<int64_t>(sizeof(AQ)) + 3) / 4;
-  auto qbuf = pool::Acquire(qa_floats + m);
-  AQ* qa = reinterpret_cast<AQ*>(qbuf->data());
-  float* sa = qbuf->data() + qa_floats;
-  QuantizeOpA<AQ, kAOffset>(a, m, k, trans_a, qa, stride, sa);
-  const int64_t num_it = (m + kLowpMR - 1) / kLowpMR;
-  runtime::ParallelFor(
-      0, w.num_panels(), PanelFlopGrain(m, k), [&](int64_t p0, int64_t p1) {
-        for (int64_t jp = p0; jp < p1; ++jp) {
-          const int64_t j0 = jp * kLowpNR;
-          const int64_t cols = std::min(kLowpNR, n - j0);
-          for (int64_t t = 0; t < num_it; ++t) {
-            const int64_t i0 = t * kLowpMR;
-            const int64_t rows = std::min(kLowpMR, m - i0);
-            const AQ* qa_rows[kLowpMR];
-            float sat[kLowpMR];
-            for (int64_t r = 0; r < kLowpMR; ++r) {
-              // Pad rows point at the last valid row: read but never
-              // stored.
-              const int64_t i = std::min(i0 + r, m - 1);
-              qa_rows[r] = qa + i * stride;
-              sat[r] = sa[i];
-            }
-#if defined(STWA_LOWP_AVX512)
-            Int8Tile512(qa_rows,
-                        w.q8.data() + jp * ((k + 3) / 4) * kLowpNR * 4, sat,
-                        w.scales.data() + j0, w.colsum.data() + j0,
-                        c + i0 * n + j0, n, (k + 3) / 4, rows, cols);
-#else
-            Int8Tile256(qa_rows,
-                        w.q16.data() + jp * ((k + 1) / 2) * kLowpNR * 2, sat,
-                        w.scales.data() + j0, c + i0 * n + j0, n,
-                        (k + 1) / 2, rows, cols);
-#endif
-          }
-        }
-      });
-}
-
 #endif  // vector builds
 
 }  // namespace
 
 int64_t PackedWeights::PanelBytes() const {
-  return static_cast<int64_t>(bf16.size()) * 2 +
-         static_cast<int64_t>(q8.size()) +
-         static_cast<int64_t>(q16.size()) * 2 +
-         static_cast<int64_t>(scales.size() + colsum.size()) * 4;
-}
-
-std::vector<float> ChannelAbsMax(const float* b, int64_t k, int64_t n,
-                                 bool trans) {
-  std::vector<float> out(static_cast<size_t>(n), 0.0f);
-  if (!trans) {
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float* row = b + kk * n;
-      for (int64_t j = 0; j < n; ++j) {
-        const float v = std::fabs(row[j]);
-        if (v > out[static_cast<size_t>(j)]) out[static_cast<size_t>(j)] = v;
-      }
-    }
-  } else {
-    for (int64_t j = 0; j < n; ++j) {
-      const float* row = b + j * k;
-      float mx = 0.0f;
-      for (int64_t kk = 0; kk < k; ++kk) {
-        const float v = std::fabs(row[kk]);
-        if (v > mx) mx = v;
-      }
-      out[static_cast<size_t>(j)] = mx;
-    }
-  }
-  return out;
-}
-
-std::vector<float> Int8ChannelScales(const float* b, int64_t k, int64_t n,
-                                     bool trans) {
-  std::vector<float> scales = ChannelAbsMax(b, k, n, trans);
-  for (float& s : scales) s = Int8Scale(s, kInt8QMax);
-  return scales;
+  return static_cast<int64_t>(bf16.size()) * 2;
 }
 
 std::shared_ptr<PackedWeights> PackWeights(const float* b, int64_t k,
-                                           int64_t n, bool trans,
-                                           Precision tier,
-                                           const std::vector<float>* scales,
-                                           bool bf16_trunc) {
-  STWA_CHECK(tier != Precision::kFp32,
-             "PackWeights: fp32 weights are not packed — the fp32 GEMM "
-             "path reads them in place");
+                                           int64_t n, bool trans) {
   STWA_CHECK(k >= 0 && n >= 0, "PackWeights: bad dims k=", k, " n=", n);
   auto w = std::make_shared<PackedWeights>();
-  w->tier = tier;
   w->k = k;
   w->n = n;
   w->trans = trans;
   w->nr = kLowpNR;
-  const int64_t np = w->num_panels();
-  auto src = [&](int64_t kk, int64_t j) {
-    return trans ? b[j * k + kk] : b[kk * n + j];
-  };
-  if (tier == Precision::kBf16) {
-    w->bf16.assign(static_cast<size_t>(np * k * kLowpNR), 0);
-    for (int64_t j = 0; j < n; ++j) {
-      uint16_t* col = w->bf16.data() + (j / kLowpNR) * k * kLowpNR +
-                      Bf16PanelWord(j % kLowpNR);
-      for (int64_t kk = 0; kk < k; ++kk) {
-        const float v = src(kk, j);
-        col[kk * kLowpNR] = bf16_trunc ? Bf16FromF32Trunc(v) : Bf16FromF32(v);
-      }
-    }
-    return w;
-  }
-  // int8: the i32 accumulators are exact only while k * max|ua*qb| fits;
-  // 2^16 * 255 * 127 just clears INT32_MAX.
-  STWA_CHECK(k <= (int64_t{1} << 16),
-             "PackWeights: int8 GEMM supports k <= 65536, got ", k);
-  if (scales != nullptr) {
-    STWA_CHECK(static_cast<int64_t>(scales->size()) == n,
-               "PackWeights: got ", scales->size(),
-               " baked int8 scales for ", n, " output channels");
-    w->scales = *scales;
-  } else {
-    w->scales = Int8ChannelScales(b, k, n, trans);
-  }
-  w->colsum.assign(static_cast<size_t>(n), 0);
-  const int64_t kq = (k + 3) / 4;
-  w->q8.assign(static_cast<size_t>(np * kq * kLowpNR * 4), 0);
+  w->bf16.assign(static_cast<size_t>(w->num_panels() * k * kLowpNR), 0);
   for (int64_t j = 0; j < n; ++j) {
-    int8_t* col =
-        w->q8.data() + ((j / kLowpNR) * kq * kLowpNR + j % kLowpNR) * 4;
-    const float sb = w->scales[static_cast<size_t>(j)];
-    int32_t sum = 0;
+    uint16_t* col = w->bf16.data() + (j / kLowpNR) * k * kLowpNR +
+                    Bf16PanelWord(j % kLowpNR);
     for (int64_t kk = 0; kk < k; ++kk) {
-      const int8_t q = QuantizeInt8(src(kk, j), sb, kInt8QMax);
-      sum += q;
-      col[(kk / 4) * kLowpNR * 4 + kk % 4] = q;
-    }
-    w->colsum[static_cast<size_t>(j)] = sum;
-  }
-#if defined(STWA_SIMD_AVX2) && !defined(STWA_LOWP_AVX512)
-  // pmaddwd operand copy, widened to i16 in pair layout.
-  const int64_t kp = (k + 1) / 2;
-  w->q16.assign(static_cast<size_t>(np * kp * kLowpNR * 2), 0);
-  for (int64_t j = 0; j < n; ++j) {
-    const int8_t* col =
-        w->q8.data() + ((j / kLowpNR) * kq * kLowpNR + j % kLowpNR) * 4;
-    int16_t* dst =
-        w->q16.data() + ((j / kLowpNR) * kp * kLowpNR + j % kLowpNR) * 2;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      dst[(kk / 2) * kLowpNR * 2 + kk % 2] =
-          col[(kk / 4) * kLowpNR * 4 + kk % 4];
+      col[kk * kLowpNR] = Bf16FromF32(trans ? b[j * k + kk] : b[kk * n + j]);
     }
   }
-#endif
   return w;
 }
 
 void GemmBf16Ref(const float* a, const PackedWeights& w, float* c, int64_t m,
                  bool trans_a) {
   ScalarBf16(a, w, c, m, trans_a);
-}
-
-void GemmInt8Ref(const float* a, const PackedWeights& w, float* c, int64_t m,
-                 bool trans_a) {
-  ScalarInt8(a, w, c, m, trans_a);
 }
 
 void GemmLowp(const float* a, const PackedWeights& w, float* c, int64_t m,
@@ -594,23 +279,15 @@ void GemmLowp(const float* a, const PackedWeights& w, float* c, int64_t m,
     return;
   }
 #if defined(STWA_LOWP_AVX512) || defined(STWA_SIMD_AVX2)
-  if (w.tier == Precision::kBf16) {
-    VectorBf16(a, w, c, m, trans_a);
-  } else {
-    VectorInt8(a, w, c, m, trans_a);
-  }
+  VectorBf16(a, w, c, m, trans_a);
 #else
-  if (w.tier == Precision::kBf16) {
-    ScalarBf16(a, w, c, m, trans_a);
-  } else {
-    ScalarInt8(a, w, c, m, trans_a);
-  }
+  ScalarBf16(a, w, c, m, trans_a);
 #endif
 }
 
 const char* LowpKernelName() {
 #if defined(STWA_LOWP_AVX512)
-  return "avx512-vnni";
+  return "avx512";
 #elif defined(STWA_SIMD_AVX2)
   return "avx2";
 #else

@@ -1,7 +1,5 @@
 #include "simd/lowp.h"
 
-#include <cstdlib>
-
 #include "common/check.h"
 
 namespace stwa {
@@ -13,8 +11,6 @@ const char* PrecisionName(Precision p) {
       return "fp32";
     case Precision::kBf16:
       return "bf16";
-    case Precision::kInt8:
-      return "int8";
   }
   STWA_FAIL("unknown Precision value ", static_cast<int>(p));
 }
@@ -22,27 +18,12 @@ const char* PrecisionName(Precision p) {
 Precision ParsePrecision(const std::string& name) {
   if (name == "fp32") return Precision::kFp32;
   if (name == "bf16") return Precision::kBf16;
-  if (name == "int8") return Precision::kInt8;
-  throw Error("unknown precision \"" + name +
-              "\"; expected fp32, bf16 or int8");
-}
-
-Precision EnvPrecision() {
-  const char* env = std::getenv("STWA_PRECISION");
-  if (env == nullptr || env[0] == '\0') return Precision::kFp32;
-  return ParsePrecision(env);
-}
-
-int64_t WeightBytes(Precision p) {
-  switch (p) {
-    case Precision::kFp32:
-      return 4;
-    case Precision::kBf16:
-      return 2;
-    case Precision::kInt8:
-      return 1;
+  if (name == "int8") {
+    throw Error(
+        "precision \"int8\": the int8 tier was removed (bf16 is faster and "
+        "drifts less at the model's shapes); use bf16");
   }
-  STWA_FAIL("unknown Precision value ", static_cast<int>(p));
+  throw Error("unknown precision \"" + name + "\"; expected fp32 or bf16");
 }
 
 }  // namespace simd

@@ -1,34 +1,24 @@
 // Reduced-precision value helpers: the serving precision tiers and the
-// scalar bf16 / int8 conversion primitives the low-precision GEMM kernels
-// (simd/gemm_lowp.h) are built on.
+// scalar bf16 conversion primitives the low-precision GEMM kernel
+// (simd/gemm_lowp.h) is built on.
 //
 // Tiers (DESIGN.md §4g):
 //   * fp32 — the default; every kernel in the library.
 //   * bf16 — weights stored as the upper 16 bits of binary32, widened back
 //     to fp32 in the GEMM microkernel; accumulation stays fp32.
-//   * int8 — weights quantized per output channel (symmetric, scale =
-//     absmax / 127); activations quantized per row on the fly; integer
-//     multiply-accumulate with fp32 dequantisation of the C tile.
 //
-// Both narrow tiers are inference-only: they apply to GEMM *weight*
-// operands registered by a serving session (tensor/lowp_cache.h) and never
-// change training numerics.
+// bf16 is inference-only: it applies to GEMM *weight* operands registered
+// by a serving session (tensor/lowp_cache.h) and never changes training
+// numerics.
 //
-// bf16 rounding: `Bf16FromF32` rounds to nearest-even (the default pack
-// mode); `Bf16FromF32Trunc` truncates toward zero. Truncation is cheaper
-// but biased — every mantissa is shortened toward zero, so dot products
-// lose magnitude systematically (~2^-10 relative per weight), and the bias
-// compounds across stacked layers instead of cancelling. RNE is unbiased
-// and keeps the serving accuracy delta an order of magnitude smaller for
-// the same storage cost, which is why it is the pack default
-// (STWA_BF16_TRUNC=1 flips a session to truncate-pack for A/B runs; the
-// lowp unit tests quantify both). NaNs are quietened before truncation so
-// a truncated NaN cannot become Inf.
+// bf16 rounding: `Bf16FromF32` rounds to nearest-even, which is unbiased,
+// so rounding errors cancel across a dot product instead of compounding
+// across stacked layers. NaNs are quietened so a rounded NaN cannot
+// become Inf.
 
 #ifndef STWA_SIMD_LOWP_H_
 #define STWA_SIMD_LOWP_H_
 
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -37,21 +27,15 @@ namespace stwa {
 namespace simd {
 
 /// Serving GEMM precision tier.
-enum class Precision { kFp32, kBf16, kInt8 };
+enum class Precision { kFp32, kBf16 };
 
-/// Canonical lowercase tier name ("fp32" / "bf16" / "int8").
+/// Canonical lowercase tier name ("fp32" / "bf16").
 const char* PrecisionName(Precision p);
 
-/// Parses a tier name (case-sensitive, the three canonical names).
-/// Throws stwa::Error on anything else, listing the accepted values.
+/// Parses a tier name (case-sensitive, the two canonical names).
+/// Throws stwa::Error on anything else, listing the accepted values; the
+/// removed "int8" tier gets an error that names its replacement.
 Precision ParsePrecision(const std::string& name);
-
-/// The STWA_PRECISION environment tier; fp32 when unset. Throws on an
-/// unrecognised value (a typo silently serving fp32 would be worse).
-Precision EnvPrecision();
-
-/// Bytes one weight scalar occupies in a tier's packed panels (4/2/1).
-int64_t WeightBytes(Precision p);
 
 // --- bf16 ----------------------------------------------------------------
 
@@ -61,22 +45,12 @@ inline uint16_t Bf16FromF32(float x) {
   std::memcpy(&bits, &x, sizeof(bits));
   if ((bits & 0x7FFFFFFFu) > 0x7F800000u) {
     // NaN: quieten and keep the payload's top bits so the result is still
-    // a NaN after truncation.
+    // a NaN after dropping the low half.
     return static_cast<uint16_t>((bits >> 16) | 0x0040u);
   }
   // Round to nearest-even on bit 16: add 0x7FFF + lsb-of-result.
   const uint32_t lsb = (bits >> 16) & 1u;
   return static_cast<uint16_t>((bits + 0x7FFFu + lsb) >> 16);
-}
-
-/// binary32 -> bf16, truncation toward zero (drop the low 16 bits).
-inline uint16_t Bf16FromF32Trunc(float x) {
-  uint32_t bits;
-  std::memcpy(&bits, &x, sizeof(bits));
-  if ((bits & 0x7FFFFFFFu) > 0x7F800000u) {
-    return static_cast<uint16_t>((bits >> 16) | 0x0040u);
-  }
-  return static_cast<uint16_t>(bits >> 16);
 }
 
 /// bf16 -> binary32 (exact: shift back into the upper half).
@@ -85,31 +59,6 @@ inline float F32FromBf16(uint16_t x) {
   float out;
   std::memcpy(&out, &bits, sizeof(out));
   return out;
-}
-
-// --- int8 ----------------------------------------------------------------
-
-/// Symmetric quantisation scale for a value range: absmax / qmax. A zero,
-/// denormal-underflowed or non-finite absmax yields scale 0, which the
-/// quantiser treats as "every value quantises to 0" (dequantisation then
-/// reproduces an all-zero channel exactly and never divides).
-inline float Int8Scale(float absmax, int qmax) {
-  if (!std::isfinite(absmax) || absmax <= 0.0f) return 0.0f;
-  const float scale = absmax / static_cast<float>(qmax);
-  return scale > 0.0f && std::isfinite(scale) ? scale : 0.0f;
-}
-
-/// Quantises one value with `scale` (from Int8Scale), clamping to
-/// [-qmax, qmax]. Rounds to nearest-even to keep the error unbiased.
-/// NaN quantises to 0 (a float->int cast of NaN or Inf is undefined, so
-/// both are handled before the cast).
-inline int8_t QuantizeInt8(float x, float scale, int qmax) {
-  if (scale == 0.0f) return 0;
-  const float q = std::nearbyintf(x / scale);
-  if (std::isnan(q)) return 0;
-  const float lim = static_cast<float>(qmax);
-  const float clamped = q < -lim ? -lim : (q > lim ? lim : q);
-  return static_cast<int8_t>(clamped);
 }
 
 }  // namespace simd

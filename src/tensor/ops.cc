@@ -462,8 +462,8 @@ Tensor MatMul2D(const Tensor& a, const Tensor& b) {
   const int64_t n = b.dim(1);
   STWA_CHECK(b.dim(0) == k, "inner dimensions mismatch: ",
              ShapeToString(a.shape()), " x ", ShapeToString(b.shape()));
-  // Reduced-precision hook: a serving session registered prepacked bf16 /
-  // int8 panels for this weight operand (tensor/lowp_cache.h). Selection
+  // Reduced-precision hook: a serving session registered prepacked bf16
+  // panels for this weight operand (tensor/lowp_cache.h). Selection
   // depends only on the operand pointer, so eager and plan replay
   // dispatch the same way on any thread.
   if (const auto pack = lowp::Find(b.data(), k, n, /*trans=*/false)) {

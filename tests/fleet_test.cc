@@ -150,7 +150,7 @@ TEST(FleetConfigTest, ParsesProfilesAndQuotas) {
       "# fleet node\n"
       "profile cityA ckpt=/tmp/a.bin tiles=8 shards=2 workers=3 "
       "max_batch=4 capacity=64 deadline_us=5000 "
-      "precision=int8 serial_kernels=0\n"
+      "precision=bf16 serial_kernels=0\n"
       "\n"
       "profile cityB ckpt=/tmp/b.bin\n"
       "quota gold rate=100 burst=20\n"
@@ -165,7 +165,7 @@ TEST(FleetConfigTest, ParsesProfilesAndQuotas) {
   EXPECT_EQ(a.max_batch, 4);
   EXPECT_EQ(a.capacity, 64);
   EXPECT_EQ(a.deadline_us, 5000);
-  EXPECT_EQ(a.precision, simd::Precision::kInt8);
+  EXPECT_EQ(a.precision, simd::Precision::kBf16);
   EXPECT_FALSE(a.serial_kernels);
   // cityB keeps every default.
   const FleetProfileConfig& b = config.profiles[1];
@@ -198,6 +198,17 @@ TEST(FleetConfigTest, RemovedMaxDelayOptionGetsAnActionableError) {
     EXPECT_NE(what.find("max_delay_us was removed"), std::string::npos)
         << what;
     EXPECT_NE(what.find("delete the option"), std::string::npos) << what;
+  }
+}
+
+TEST(FleetConfigTest, RemovedInt8PrecisionGetsAnActionableError) {
+  try {
+    ParseFleetConfig("profile cityA ckpt=/a precision=int8\n");
+    FAIL() << "precision=int8 must be rejected";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("int8 tier was removed"), std::string::npos) << what;
+    EXPECT_NE(what.find("use bf16"), std::string::npos) << what;
   }
 }
 

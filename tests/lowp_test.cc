@@ -1,11 +1,12 @@
-// Tests for the reduced-precision serving tiers (simd/lowp.h,
-// simd/gemm_lowp.h, tensor/lowp_cache.h): conversion error bounds,
-// quantiser edge cases, kernel-vs-reference bit-exactness, the weight
-// cache, MatMul routing and cross-thread determinism.
+// Tests for the bf16 serving tier (simd/lowp.h, simd/gemm_lowp.h,
+// tensor/lowp_cache.h): conversion error bounds, kernel-vs-reference
+// bit-exactness, the weight cache, MatMul routing and cross-thread
+// determinism.
 
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -38,118 +39,19 @@ TEST(LowpBf16Test, RoundTripErrorWithinHalfUlp) {
 }
 
 TEST(LowpBf16Test, ValuesWithShortMantissaAreExact) {
-  // Anything representable in 8 mantissa bits survives both pack modes
+  // Anything representable in 8 mantissa bits survives packing
   // unchanged.
   for (float x : {0.0f, 1.0f, -1.0f, 0.5f, 2.0f, -96.0f, 1.5f, 0.15625f}) {
     EXPECT_EQ(F32FromBf16(Bf16FromF32(x)), x);
-    EXPECT_EQ(F32FromBf16(Bf16FromF32Trunc(x)), x);
   }
-}
-
-TEST(LowpBf16Test, TruncationBiasesTowardZeroRneDoesNot) {
-  // Truncation drops mantissa bits, so |trunc(x)| <= |x| always — a
-  // one-sided error that compounds across layers. RNE rounds both ways;
-  // over many values its mean signed error is an order of magnitude
-  // smaller. This is why RNE is the pack default (lowp.h header).
-  Rng rng(12);
-  double trunc_signed = 0.0, rne_signed = 0.0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    const float x = rng.Normal() + 3.0f;  // positive-heavy
-    const float t = F32FromBf16(Bf16FromF32Trunc(x));
-    const float r = F32FromBf16(Bf16FromF32(x));
-    EXPECT_LE(std::abs(t), std::abs(x));  // toward zero, every time
-    trunc_signed += t - x;
-    rne_signed += r - x;
-  }
-  // Truncation's aggregate bias is strictly negative and much larger in
-  // magnitude than RNE's.
-  EXPECT_LT(trunc_signed / n, 0.0);
-  EXPECT_LT(std::abs(rne_signed), std::abs(trunc_signed) / 10.0);
 }
 
 TEST(LowpBf16Test, NanStaysNanAndInfStaysInf) {
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const float inf = std::numeric_limits<float>::infinity();
   EXPECT_TRUE(std::isnan(F32FromBf16(Bf16FromF32(nan))));
-  EXPECT_TRUE(std::isnan(F32FromBf16(Bf16FromF32Trunc(nan))));
   EXPECT_EQ(F32FromBf16(Bf16FromF32(inf)), inf);
   EXPECT_EQ(F32FromBf16(Bf16FromF32(-inf)), -inf);
-}
-
-// ---------------------------------------------------------------------------
-// int8 quantisation
-
-TEST(LowpInt8Test, PerChannelRoundTripWithinHalfScale)  {
-  // RNE quantisation: |x - dequant(quant(x))| <= scale / 2 for in-range x.
-  Rng rng(13);
-  for (int trial = 0; trial < 100; ++trial) {
-    std::vector<float> channel(64);
-    float absmax = 0.0f;
-    for (float& v : channel) {
-      v = rng.Normal() * (trial + 1);
-      absmax = std::max(absmax, std::abs(v));
-    }
-    const float scale = Int8Scale(absmax, kInt8QMax);
-    ASSERT_GT(scale, 0.0f);
-    for (float v : channel) {
-      const int8_t q = QuantizeInt8(v, scale, kInt8QMax);
-      EXPECT_LE(std::abs(v - static_cast<float>(q) * scale),
-                scale * 0.5f + 1e-6f)
-          << v;
-    }
-  }
-}
-
-TEST(LowpInt8Test, ZeroRangeChannelQuantisesToExactZero) {
-  // A constant-zero channel has absmax 0 -> scale 0; the quantiser maps
-  // everything to 0 and dequant reproduces the zero channel exactly,
-  // without ever dividing by the scale.
-  EXPECT_EQ(Int8Scale(0.0f, kInt8QMax), 0.0f);
-  EXPECT_EQ(QuantizeInt8(0.0f, 0.0f, kInt8QMax), 0);
-  EXPECT_EQ(QuantizeInt8(123.0f, 0.0f, kInt8QMax), 0);
-}
-
-TEST(LowpInt8Test, DenormalAndNonFiniteAbsmaxYieldZeroScale) {
-  // A denormal absmax would underflow absmax/127 to 0 or a denormal —
-  // either way the channel is treated as zero instead of producing inf
-  // on dequant. Non-finite absmax (a corrupted weight) likewise.
-  const float denormal = std::numeric_limits<float>::denorm_min();
-  EXPECT_EQ(Int8Scale(denormal, kInt8QMax), 0.0f);
-  EXPECT_EQ(Int8Scale(std::numeric_limits<float>::infinity(), kInt8QMax),
-            0.0f);
-  EXPECT_EQ(Int8Scale(std::numeric_limits<float>::quiet_NaN(), kInt8QMax),
-            0.0f);
-  EXPECT_EQ(Int8Scale(-1.0f, kInt8QMax), 0.0f);
-}
-
-TEST(LowpInt8Test, OverflowSaturatesAndNanQuantisesToZero) {
-  const float scale = Int8Scale(1.0f, kInt8QMax);  // grid for [-1, 1]
-  EXPECT_EQ(QuantizeInt8(1e30f, scale, kInt8QMax), 127);
-  EXPECT_EQ(QuantizeInt8(-1e30f, scale, kInt8QMax), -127);
-  EXPECT_EQ(QuantizeInt8(std::numeric_limits<float>::quiet_NaN(), scale,
-                         kInt8QMax),
-            0);
-}
-
-TEST(LowpInt8Test, ChannelScalesMatchAbsMaxFormula) {
-  Rng rng(14);
-  const int64_t k = 17, n = 9;
-  std::vector<float> b(static_cast<size_t>(k * n));
-  for (float& v : b) v = rng.Normal();
-  b[3] = 0.0f;  // keep one extreme in play
-  const std::vector<float> absmax = ChannelAbsMax(b.data(), k, n, false);
-  const std::vector<float> scales = Int8ChannelScales(b.data(), k, n, false);
-  ASSERT_EQ(absmax.size(), static_cast<size_t>(n));
-  ASSERT_EQ(scales.size(), static_cast<size_t>(n));
-  for (int64_t j = 0; j < n; ++j) {
-    float want = 0.0f;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      want = std::max(want, std::abs(b[static_cast<size_t>(kk * n + j)]));
-    }
-    EXPECT_EQ(absmax[static_cast<size_t>(j)], want);
-    EXPECT_EQ(scales[static_cast<size_t>(j)], Int8Scale(want, kInt8QMax));
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -172,32 +74,11 @@ TEST(LowpGemmTest, Bf16KernelBitExactVsReference) {
     std::vector<float> b(static_cast<size_t>(c.k * c.n));
     for (float& v : a) v = rng.Normal();
     for (float& v : b) v = rng.Normal();
-    const auto w = PackWeights(b.data(), c.k, c.n, false, Precision::kBf16,
-                               nullptr, false);
+    const auto w = PackWeights(b.data(), c.k, c.n, false);
     std::vector<float> got(static_cast<size_t>(c.m * c.n), -1.0f);
     std::vector<float> want(static_cast<size_t>(c.m * c.n), -2.0f);
     GemmLowp(a.data(), *w, got.data(), c.m, false);
     GemmBf16Ref(a.data(), *w, want.data(), c.m, false);
-    EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                          sizeof(float) * got.size()),
-              0)
-        << c.m << "x" << c.n << "x" << c.k;
-  }
-}
-
-TEST(LowpGemmTest, Int8KernelBitExactVsReference) {
-  Rng rng(16);
-  for (const GemmCase& c : kCases) {
-    std::vector<float> a(static_cast<size_t>(c.m * c.k));
-    std::vector<float> b(static_cast<size_t>(c.k * c.n));
-    for (float& v : a) v = rng.Normal();
-    for (float& v : b) v = rng.Normal();
-    const auto w = PackWeights(b.data(), c.k, c.n, false, Precision::kInt8,
-                               nullptr, false);
-    std::vector<float> got(static_cast<size_t>(c.m * c.n), -1.0f);
-    std::vector<float> want(static_cast<size_t>(c.m * c.n), -2.0f);
-    GemmLowp(a.data(), *w, got.data(), c.m, false);
-    GemmInt8Ref(a.data(), *w, want.data(), c.m, false);
     EXPECT_EQ(std::memcmp(got.data(), want.data(),
                           sizeof(float) * got.size()),
               0)
@@ -212,22 +93,13 @@ TEST(LowpGemmTest, TransposedOperandsBitExactVsReference) {
   std::vector<float> bt(static_cast<size_t>(n * k));  // op(B) via trans
   for (float& v : at) v = rng.Normal();
   for (float& v : bt) v = rng.Normal();
-  for (const Precision tier : {Precision::kBf16, Precision::kInt8}) {
-    const auto w = PackWeights(bt.data(), k, n, /*trans=*/true, tier,
-                               nullptr, false);
-    std::vector<float> got(static_cast<size_t>(m * n), -1.0f);
-    std::vector<float> want(static_cast<size_t>(m * n), -2.0f);
-    GemmLowp(at.data(), *w, got.data(), m, /*trans_a=*/true);
-    if (tier == Precision::kBf16) {
-      GemmBf16Ref(at.data(), *w, want.data(), m, true);
-    } else {
-      GemmInt8Ref(at.data(), *w, want.data(), m, true);
-    }
-    EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                          sizeof(float) * got.size()),
-              0)
-        << PrecisionName(tier);
-  }
+  const auto w = PackWeights(bt.data(), k, n, /*trans=*/true);
+  std::vector<float> got(static_cast<size_t>(m * n), -1.0f);
+  std::vector<float> want(static_cast<size_t>(m * n), -2.0f);
+  GemmLowp(at.data(), *w, got.data(), m, /*trans_a=*/true);
+  GemmBf16Ref(at.data(), *w, want.data(), m, true);
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), sizeof(float) * got.size()),
+            0);
 }
 
 TEST(LowpGemmTest, BitIdenticalAcrossThreadCounts) {
@@ -237,63 +109,42 @@ TEST(LowpGemmTest, BitIdenticalAcrossThreadCounts) {
   std::vector<float> b(static_cast<size_t>(k * n));
   for (float& v : a) v = rng.Normal();
   for (float& v : b) v = rng.Normal();
-  for (const Precision tier : {Precision::kBf16, Precision::kInt8}) {
-    const auto w = PackWeights(b.data(), k, n, false, tier, nullptr, false);
-    std::vector<float> ref(static_cast<size_t>(m * n));
-    runtime::SetNumThreads(1);
-    GemmLowp(a.data(), *w, ref.data(), m, false);
-    for (const int threads : {2, 4}) {
-      runtime::SetNumThreads(threads);
-      std::vector<float> got(static_cast<size_t>(m * n), -1.0f);
-      GemmLowp(a.data(), *w, got.data(), m, false);
-      EXPECT_EQ(std::memcmp(got.data(), ref.data(),
-                            sizeof(float) * got.size()),
-                0)
-          << PrecisionName(tier) << " at " << threads << " threads";
-    }
-    runtime::SetNumThreads(0);
+  const auto w = PackWeights(b.data(), k, n, false);
+  std::vector<float> ref(static_cast<size_t>(m * n));
+  runtime::SetNumThreads(1);
+  GemmLowp(a.data(), *w, ref.data(), m, false);
+  for (const int threads : {2, 4}) {
+    runtime::SetNumThreads(threads);
+    std::vector<float> got(static_cast<size_t>(m * n), -1.0f);
+    GemmLowp(a.data(), *w, got.data(), m, false);
+    EXPECT_EQ(std::memcmp(got.data(), ref.data(), sizeof(float) * got.size()),
+              0)
+        << "at " << threads << " threads";
   }
-}
-
-TEST(LowpGemmTest, BakedScalesReproduceComputedScalesBitExactly) {
-  // The checkpoint bakes Int8ChannelScales at save; a session passes them
-  // into PackWeights. Both routes must produce identical panels.
-  Rng rng(19);
-  const int64_t k = 40, n = 24, m = 9;
-  std::vector<float> a(static_cast<size_t>(m * k));
-  std::vector<float> b(static_cast<size_t>(k * n));
-  for (float& v : a) v = rng.Normal();
-  for (float& v : b) v = rng.Normal();
-  const std::vector<float> baked = Int8ChannelScales(b.data(), k, n, false);
-  const auto w_baked =
-      PackWeights(b.data(), k, n, false, Precision::kInt8, &baked, false);
-  const auto w_fresh =
-      PackWeights(b.data(), k, n, false, Precision::kInt8, nullptr, false);
-  std::vector<float> c_baked(static_cast<size_t>(m * n));
-  std::vector<float> c_fresh(static_cast<size_t>(m * n));
-  GemmLowp(a.data(), *w_baked, c_baked.data(), m, false);
-  GemmLowp(a.data(), *w_fresh, c_fresh.data(), m, false);
-  EXPECT_EQ(std::memcmp(c_baked.data(), c_fresh.data(),
-                        sizeof(float) * c_baked.size()),
-            0);
+  runtime::SetNumThreads(0);
 }
 
 // ---------------------------------------------------------------------------
-// Precision parsing / sizing
+// Precision parsing
 
 TEST(LowpPrecisionTest, NamesParseAndRoundTrip) {
   EXPECT_EQ(ParsePrecision("fp32"), Precision::kFp32);
   EXPECT_EQ(ParsePrecision("bf16"), Precision::kBf16);
-  EXPECT_EQ(ParsePrecision("int8"), Precision::kInt8);
+  EXPECT_STREQ(PrecisionName(Precision::kFp32), "fp32");
   EXPECT_STREQ(PrecisionName(Precision::kBf16), "bf16");
   EXPECT_THROW(ParsePrecision("fp16"), Error);
   EXPECT_THROW(ParsePrecision(""), Error);
 }
 
-TEST(LowpPrecisionTest, WeightBytesPerTier) {
-  EXPECT_EQ(WeightBytes(Precision::kFp32), 4);
-  EXPECT_EQ(WeightBytes(Precision::kBf16), 2);
-  EXPECT_EQ(WeightBytes(Precision::kInt8), 1);
+TEST(LowpPrecisionTest, RemovedInt8TierGetsAnActionableError) {
+  try {
+    ParsePrecision("int8");
+    FAIL() << "int8 must be rejected";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("int8 tier was removed"), std::string::npos) << what;
+    EXPECT_NE(what.find("use bf16"), std::string::npos) << what;
+  }
 }
 
 }  // namespace
@@ -311,14 +162,13 @@ TEST(LowpCacheTest, RegisterFindUnregister) {
   Tensor b = Tensor::Randn({k, n}, rng);
   ASSERT_EQ(Find(b.data(), k, n, false), nullptr);
   const int64_t before = ActiveCount();
-  Register(b.data(), simd::PackWeights(b.data(), k, n, false,
-                                       simd::Precision::kBf16, nullptr,
-                                       false));
+  Register(b.data(), simd::PackWeights(b.data(), k, n, false));
   EXPECT_EQ(ActiveCount(), before + 1);
   EXPECT_GT(TotalPanelBytes(), 0);
   auto hit = Find(b.data(), k, n, false);
   ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->tier, simd::Precision::kBf16);
+  EXPECT_EQ(hit->bf16.size(), static_cast<size_t>(
+                                  hit->num_panels() * k * hit->nr));
   // Any dimension or orientation mismatch is a miss, never a wrong hit.
   EXPECT_EQ(Find(b.data(), k + 1, n, false), nullptr);
   EXPECT_EQ(Find(b.data(), k, n - 1, false), nullptr);
@@ -335,9 +185,7 @@ TEST(LowpCacheTest, MatMulRoutesThroughRegisteredPack) {
   Tensor b = Tensor::Randn({k, n}, rng);
   Tensor fp32_out = ops::MatMul2D(a, b).Clone();
 
-  const auto pack = simd::PackWeights(b.data(), k, n, false,
-                                      simd::Precision::kBf16, nullptr,
-                                      false);
+  const auto pack = simd::PackWeights(b.data(), k, n, false);
   Tensor want = Tensor::Uninit({m, n});
   simd::GemmBf16Ref(a.data(), *pack, want.data(), m, false);
 
@@ -362,11 +210,9 @@ TEST(LowpCacheTest, BatchedMatMulWithRankTwoWeightRoutes) {
   const int64_t batch = 3, t = 5, k = 16, n = 12;
   Tensor x = Tensor::Randn({batch, t, k}, rng);
   Tensor w = Tensor::Randn({k, n}, rng);
-  const auto pack = simd::PackWeights(w.data(), k, n, false,
-                                      simd::Precision::kInt8, nullptr,
-                                      false);
+  const auto pack = simd::PackWeights(w.data(), k, n, false);
   Tensor want = Tensor::Uninit({batch * t, n});
-  simd::GemmInt8Ref(x.data(), *pack, want.data(), batch * t, false);
+  simd::GemmBf16Ref(x.data(), *pack, want.data(), batch * t, false);
 
   Register(w.data(), pack);
   Tensor got = ops::MatMul(x, w);
@@ -375,7 +221,7 @@ TEST(LowpCacheTest, BatchedMatMulWithRankTwoWeightRoutes) {
   EXPECT_EQ(std::memcmp(got.data(), want.data(),
                         sizeof(float) * static_cast<size_t>(got.size())),
             0)
-      << "batched MatMul did not flatten onto the registered int8 pack";
+      << "batched MatMul did not flatten onto the registered bf16 pack";
 }
 
 }  // namespace

@@ -2,12 +2,15 @@
 // serving checkpoints, inference sessions, micro-batching determinism and
 // overload shedding, and the line protocol.
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <limits>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -296,74 +299,81 @@ TEST(PrecisionSessionTest, TiersAreDeterministicAndCloseToFp32) {
   fp32_cfg.precision = simd::Precision::kFp32;
   Tensor baseline = InferenceSession::Open(f.path, fp32_cfg)->Forecast(window);
 
-  for (const simd::Precision tier :
-       {simd::Precision::kBf16, simd::Precision::kInt8}) {
-    SessionConfig cfg;
-    cfg.precision = tier;
-    const int64_t active_before = lowp::ActiveCount();
-    Tensor a, b;
-    {
-      auto s1 = InferenceSession::Open(f.path, cfg);
-      EXPECT_EQ(s1->precision(), tier);
-      EXPECT_GT(lowp::ActiveCount(), active_before)
-          << "session did not register any reduced-precision packs";
-      auto s2 = InferenceSession::Open(f.path, cfg);
-      a = s1->Forecast(window);
-      b = s2->Forecast(window);
-    }
-    EXPECT_EQ(lowp::ActiveCount(), active_before)
-        << "session destructor leaked packs for "
-        << simd::PrecisionName(tier);
-    // Two sessions of the same tier are bit-identical.
-    EXPECT_EQ(std::memcmp(a.data(), b.data(),
-                          sizeof(float) * static_cast<size_t>(a.size())),
-              0)
-        << simd::PrecisionName(tier);
-    // And close to fp32: a tiny (scaled-down) model, so loose bounds.
-    EXPECT_TRUE(ops::AllClose(a, baseline, 0.05f, 1.0f))
-        << simd::PrecisionName(tier);
+  SessionConfig cfg;
+  cfg.precision = simd::Precision::kBf16;
+  const int64_t active_before = lowp::ActiveCount();
+  Tensor a, b;
+  {
+    auto s1 = InferenceSession::Open(f.path, cfg);
+    EXPECT_EQ(s1->precision(), simd::Precision::kBf16);
+    EXPECT_GT(lowp::ActiveCount(), active_before)
+        << "session did not register any reduced-precision packs";
+    auto s2 = InferenceSession::Open(f.path, cfg);
+    a = s1->Forecast(window);
+    b = s2->Forecast(window);
   }
+  EXPECT_EQ(lowp::ActiveCount(), active_before)
+      << "session destructor leaked bf16 packs";
+  // Two bf16 sessions are bit-identical.
+  EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                        sizeof(float) * static_cast<size_t>(a.size())),
+            0);
+  // And close to fp32: a tiny (scaled-down) model, so loose bounds.
+  EXPECT_TRUE(ops::AllClose(a, baseline, 0.05f, 1.0f));
   std::remove(f.path.c_str());
 }
 
-TEST(PrecisionSessionTest, V2CheckpointWithoutScalesServesIdentically) {
-  // A v2-era serving checkpoint predates baked int8 scales. An int8
-  // session must recompute them from the fp32 weights and serve
-  // bit-identically to a session on the v3 file (the baked scales are
-  // the same Int8ChannelScales formula, %.9g round-tripped).
-  Fixture f = MakeFixture("stwa_serve_prec_v2.bin");
-  ServingInfo v3_info = ReadServingInfo(f.path);
-  EXPECT_FALSE(v3_info.int8_scales.empty())
-      << "v3 serving checkpoints should bake int8 scales";
-
-  const std::string v2_path = TempPath("stwa_serve_prec_v2_old.bin");
-  // MakeServingMeta carries everything *except* the scale entries, which
-  // SaveServingCheckpoint adds on top — exactly a v2 writer's output.
-  nn::SaveParameters(*f.model, v2_path, MakeServingMeta(f.info));
-  {
-    std::fstream patch(v2_path,
-                       std::ios::binary | std::ios::in | std::ios::out);
-    ASSERT_TRUE(patch.good());
-    const uint32_t v2 = 2;
-    patch.seekp(4);  // version word sits after the u32 magic
-    patch.write(reinterpret_cast<const char*>(&v2), sizeof(v2));
+TEST(PrecisionSessionTest, LegacyInt8ScaleKeysAreIgnored) {
+  // Checkpoints written while the int8 tier existed carry one
+  // int8_scale.<param> entry per rank-2 parameter (per-channel
+  // absmax / 127, %.9g, comma-joined). They must load and serve exactly
+  // what the same parameters saved without those entries serve.
+  Fixture f = MakeFixture("stwa_serve_legacy_scales.bin");
+  nn::CheckpointMeta meta = MakeServingMeta(f.info);
+  int64_t scale_keys = 0;
+  for (const auto& [name, var] : f.model->NamedParameters()) {
+    const Tensor& t = var.value();
+    if (t.rank() != 2) continue;
+    std::string joined;
+    for (int64_t j = 0; j < t.dim(1); ++j) {
+      float absmax = 0.0f;
+      for (int64_t kk = 0; kk < t.dim(0); ++kk) {
+        absmax = std::max(absmax, std::abs(t.data()[kk * t.dim(1) + j]));
+      }
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%s%.9g", j > 0 ? "," : "",
+                    static_cast<double>(absmax / 127.0f));
+      joined += buf;
+    }
+    meta.Set("int8_scale." + name, joined);
+    ++scale_keys;
   }
-  ServingInfo v2_info = ReadServingInfo(v2_path);
-  EXPECT_TRUE(v2_info.int8_scales.empty());
-  EXPECT_EQ(v2_info.model, "ST-WA");
+  ASSERT_GT(scale_keys, 0);
+  const std::string legacy_path = TempPath("stwa_serve_legacy_scales_old.bin");
+  nn::SaveParameters(*f.model, legacy_path, meta);
+  EXPECT_EQ(nn::PeekCheckpointFormatVersion(legacy_path), 3u);
+  const nn::CheckpointMeta stored = nn::LoadCheckpointMeta(legacy_path);
+  int64_t stored_keys = 0;
+  for (const auto& [key, value] : stored.entries()) {
+    if (key.rfind("int8_scale.", 0) == 0) ++stored_keys;
+  }
+  EXPECT_EQ(stored_keys, scale_keys);
+  EXPECT_EQ(ReadServingInfo(legacy_path).model, "ST-WA");
 
-  SessionConfig cfg;
-  cfg.precision = simd::Precision::kInt8;
   Tensor window = ops::Slice(f.dataset.values, 1, 2, f.settings.history);
-  Tensor from_v3 = InferenceSession::Open(f.path, cfg)->Forecast(window);
-  Tensor from_v2 = InferenceSession::Open(v2_path, cfg)->Forecast(window);
-  EXPECT_EQ(
-      std::memcmp(from_v3.data(), from_v2.data(),
-                  sizeof(float) * static_cast<size_t>(from_v3.size())),
-      0)
-      << "recomputed scales must match baked scales bit-for-bit";
+  for (const simd::Precision tier :
+       {simd::Precision::kFp32, simd::Precision::kBf16}) {
+    SessionConfig cfg;
+    cfg.precision = tier;
+    Tensor current = InferenceSession::Open(f.path, cfg)->Forecast(window);
+    Tensor legacy = InferenceSession::Open(legacy_path, cfg)->Forecast(window);
+    EXPECT_EQ(std::memcmp(current.data(), legacy.data(),
+                          sizeof(float) * static_cast<size_t>(current.size())),
+              0)
+        << simd::PrecisionName(tier);
+  }
   std::remove(f.path.c_str());
-  std::remove(v2_path.c_str());
+  std::remove(legacy_path.c_str());
 }
 
 TEST(PrecisionSessionTest, ServerHonoursSessionPrecision) {

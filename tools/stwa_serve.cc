@@ -6,13 +6,13 @@
 //       epochs (default 2) and write a serving checkpoint — a
 //       self-contained way to produce a checkpoint for smoke tests.
 //   --ckpt <path> [--workers W] [--max-batch B] [--deadline-us D]
-//          [--port P] [--precision fp32|bf16|int8]
+//          [--port P] [--precision fp32|bf16]
 //       Serve the checkpoint. Default transport is the line protocol on
 //       stdin/stdout (see serve/protocol.h); --port instead listens on
 //       TCP with one connection thread and one StreamState per client,
 //       all sharing the batching server. --precision selects the weight
-//       tier every worker session serves at (default: STWA_PRECISION,
-//       falling back to fp32); activations stay fp32.
+//       tier every worker session serves at (default fp32); activations
+//       stay fp32.
 
 #include <cstdlib>
 #include <iostream>
@@ -37,7 +37,7 @@ struct Args {
   int64_t max_batch = 8;
   int64_t deadline_us = 1'000'000;
   int port = 0;            // 0 = stdin/stdout
-  std::string precision;   // empty = STWA_PRECISION / fp32
+  std::string precision = "fp32";
 };
 
 void PrintUsage() {
@@ -45,7 +45,7 @@ void PrintUsage() {
       "usage:\n"
       "  stwa_serve --train-demo <ckpt> [--epochs E]\n"
       "  stwa_serve --ckpt <path> [--workers W] [--max-batch B]\n"
-      "             [--deadline-us D] [--port P] [--precision fp32|bf16|int8]\n";
+      "             [--deadline-us D] [--port P] [--precision fp32|bf16]\n";
 }
 
 bool ParseArgs(int argc, char** argv, Args* args) {
@@ -105,9 +105,7 @@ int Serve(const Args& args) {
   opts.workers = args.workers;
   opts.batching.max_batch = args.max_batch;
   opts.default_deadline = std::chrono::microseconds(args.deadline_us);
-  if (!args.precision.empty()) {
-    opts.session.precision = simd::ParsePrecision(args.precision);
-  }
+  opts.session.precision = simd::ParsePrecision(args.precision);
   serve::Server server(args.ckpt, opts);
   const serve::ServingInfo& info = server.info();
   std::cerr << "serving " << info.model << " (" << info.num_sensors
