@@ -151,8 +151,9 @@ void LegacyGemmNN(const float* a, const float* b, float* c, int64_t m,
 
 /// GEMM throughput on the shapes the quickstart ST-WA model emits
 /// (projections, window-attention contractions, predictor head) plus the
-/// 512^3 headline square, with a scalar-baseline speedup column. Writes
-/// bench_out/BENCH_gemm.json.
+/// 512^3 headline square, with a scalar-baseline speedup column, and a
+/// "model shapes" table of the train-step GEMMs (NN, NT and TN, batched
+/// as the model runs them). Writes bench_out/BENCH_gemm.json.
 void BenchGemm(Rng& rng, std::vector<Measurement>* results) {
   struct GemmRow {
     int64_t m, n, k;
@@ -165,14 +166,14 @@ void BenchGemm(Rng& rng, std::vector<Measurement>* results) {
   };
   const bool smoke = SmokeMode();
   const int reps = smoke ? 2 : 6;
-  // Smoke runs swap the 512^3 headline for a 192^3 square — still
-  // packed-path territory, but seconds instead of minutes in CI.
+  // Smoke runs swap the 512^3 headline for a 192^3 square: seconds
+  // instead of minutes in CI.
   const int64_t square = smoke ? 192 : 512;
   const std::vector<std::array<int64_t, 3>> shapes = {
       {128, 16, 16},      // latent/projection: [batch*sensors, d, d]
       {1536, 16, 16},     // time-major projection sweep
       {128, 64, 144},     // predictor head: hidden x (horizon*12)
-      {square, square, square}};  // headline square (packed-path territory)
+      {square, square, square}};  // headline square
   std::vector<GemmRow> rows;
 
   for (auto [m, n, k] : shapes) {
@@ -278,6 +279,49 @@ void BenchGemm(Rng& rng, std::vector<Measurement>* results) {
             << FormatFloat(fp32_g > 0 ? bf16_g / fp32_g : 0.0, 2)
             << "x) GFLOP/s, kernel=" << simd::LowpKernelName() << "\n";
 
+  // Model shapes: the ST-WA train-step GEMMs at the PEMS08 geometry
+  // (B=8, N=16, d=16, window attention over 2-3 steps), 1 thread, through
+  // the ops entry points the autograd kernels call. Batched operands keep
+  // their batch dims; the weight gradients are the flattened products.
+  struct ModelGemm {
+    std::string op;  // nn, nt or tn
+    Shape a, b;
+    double seconds = 0.0;
+    double gflops = 0.0;
+  };
+  std::vector<ModelGemm> model_rows = {
+      {"nn", {8, 16, 1, 16}, {16, 16}},       // per-step projection
+      {"tn", {128, 16}, {128, 16}},           // ... its weight gradient
+      {"nn", {8, 16, 64}, {64, 12}},          // predictor head
+      {"nt", {8, 16, 12}, {64, 12}},          // ... its input gradient
+      {"tn", {128, 64}, {128, 12}},           // ... its weight gradient
+      {"nn", {8, 16, 32}, {32, 256}},         // parameter decoder
+      {"nn", {8, 16, 12, 16}, {8, 16, 16, 16}},  // generated projections
+      {"nt", {8, 16, 12, 16}, {8, 16, 16, 16}},
+      {"nn", {8, 16, 2, 1, 8}, {8, 16, 2, 8, 3}},  // window attention
+      {"nt", {8, 16, 2, 1, 8}, {8, 16, 2, 3, 8}},
+      {"nt", {8, 16, 2, 1, 3}, {8, 16, 2, 8, 3}},
+      {"tn", {8, 16, 2, 1, 8}, {8, 16, 2, 1, 3}}};
+  runtime::SetNumThreads(1);
+  for (ModelGemm& r : model_rows) {
+    const Tensor a = Tensor::Randn(r.a, rng);
+    const Tensor b = Tensor::Randn(r.b, rng);
+    const auto run = [&] {
+      return r.op == "nn"   ? ops::MatMul(a, b)
+             : r.op == "nt" ? ops::MatMulNT(a, b)
+                            : ops::MatMulTN(a, b);
+    };
+    const Tensor c = run();
+    // Contraction length: A's last dim, or its second-to-last for TN.
+    const int64_t k = r.op == "tn" ? a.dim(-2) : a.dim(-1);
+    r.seconds = TimeBest(reps * 10, run);
+    r.gflops = 2.0 * static_cast<double>(c.size() * k) / r.seconds / 1e9;
+    std::cout << "gemm model " << r.op << " " << ShapeToString(r.a) << " x "
+              << ShapeToString(r.b) << " " << r.seconds * 1e6 << " us ("
+              << r.gflops << " GFLOP/s)\n";
+  }
+  runtime::SetNumThreads(0);
+
   const std::string path = BenchOutPath("BENCH_gemm.json");
   std::ofstream out(path);
   out << "{\n  \"isa\": \"" << simd::IsaName()
@@ -295,6 +339,15 @@ void BenchGemm(Rng& rng, std::vector<Measurement>* results) {
         << ", \"scalar_seconds\": " << r.scalar_seconds
         << ", \"speedup_vs_scalar\": " << r.speedup << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
+  }
+  out << "  ],\n  \"model_shapes\": [\n";
+  for (size_t i = 0; i < model_rows.size(); ++i) {
+    const ModelGemm& r = model_rows[i];
+    out << "    {\"op\": \"" << r.op << "\", \"a\": \""
+        << ShapeToString(r.a) << "\", \"b\": \"" << ShapeToString(r.b)
+        << "\", \"threads\": 1, \"seconds\": " << r.seconds
+        << ", \"gflops\": " << r.gflops << "}"
+        << (i + 1 < model_rows.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
   std::cout << "wrote " << path << "\n";

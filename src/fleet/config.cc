@@ -29,6 +29,18 @@ double ParseDouble(const std::string& value, const std::string& line) {
   return v;
 }
 
+/// Parses a precision tier name; the error keeps ParsePrecision's reason
+/// and names the config line like every other option.
+simd::Precision ParsePrecisionOption(const std::string& value,
+                                     const std::string& line) {
+  try {
+    return simd::ParsePrecision(value);
+  } catch (const Error& e) {
+    throw Error(std::string("fleet config: ") + e.what() + " in line '" +
+                line + "'");
+  }
+}
+
 /// Splits "key=value"; throws when there is no '='.
 std::pair<std::string, std::string> SplitOption(const std::string& token,
                                                 const std::string& line) {
@@ -67,7 +79,7 @@ FleetProfileConfig ParseProfileLine(const std::vector<std::string>& tokens,
     } else if (key == "deadline_us") {
       profile.deadline_us = ParseInt(value, line);
     } else if (key == "precision") {
-      profile.precision = simd::ParsePrecision(value);
+      profile.precision = ParsePrecisionOption(value, line);
     } else if (key == "serial_kernels") {
       profile.serial_kernels = ParseInt(value, line) != 0;
     } else {

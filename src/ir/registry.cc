@@ -271,11 +271,27 @@ void BwdRelu(Node& n) {
         ops::BinaryMap(n.grad, n.parents[0]->value, BwdReluFn{}));
 }
 
+bool NeedsGrad(const NodePtr& p) { return p != nullptr && p->requires_grad; }
+
 void BwdMatMul(Node& n) {
   // dA = g @ B^T and dB = A^T @ g via the fused transposed-operand kernels
   // (no transpose temporaries), reduced over broadcast batch dims by Accum.
-  Accum(n.parents[0], ops::MatMulNT(n.grad, n.parents[1]->value));
-  Accum(n.parents[1], ops::MatMulTN(n.parents[0]->value, n.grad));
+  const Tensor& a = P(n, 0);
+  const Tensor& b = P(n, 1);
+  if (NeedsGrad(n.parents[0])) Accum(n.parents[0], ops::MatMulNT(n.grad, b));
+  if (!NeedsGrad(n.parents[1])) return;
+  if (b.rank() == 2 && a.rank() > 2) {
+    // A weight shared by every batch matrix: flatten A and g to [rows, k]
+    // and [rows, n], so dW is one [rows,k]^T [rows,n] GEMM straight into
+    // [k, n], with no per-batch [batch..., k, n] products to reduce.
+    const int64_t rows =
+        NumElements(Shape(a.shape().begin(), a.shape().end() - 1));
+    Accum(n.parents[1],
+          ops::MatMulTN(a.Reshape({rows, a.dim(-1)}),
+                        n.grad.Reshape({rows, n.grad.dim(-1)})));
+    return;
+  }
+  Accum(n.parents[1], ops::MatMulTN(a, n.grad));
 }
 
 void BwdTransposeLast2(Node& n) {
@@ -432,9 +448,16 @@ GradCheckCase GcSigmoid() { return GcUnary(&ag::Sigmoid, false); }
 GradCheckCase GcRelu() { return GcUnary(&ag::Relu, false); }
 
 GradCheckCase GcMatMul() {
+  // A rank-2 product, plus a rank-3 A against the same rank-2 B: the
+  // flattened weight-gradient path.
   Var a = ag::Parameter(SignedAway(2, 3, 31));
+  Var a3 = ag::Parameter(SignedAway(4, 3, 30).Reshape({2, 2, 3}));
   Var b = ag::Parameter(SignedAway(3, 2, 32));
-  return {{a, b}, [a, b] { return ag::MeanAll(ag::MatMul(a, b)); }};
+  return {{a, a3, b}, [a, a3, b] {
+            Var y3 = ag::MatMul(a3, b);
+            return ag::Add(ag::MeanAll(ag::MatMul(a, b)),
+                           ag::MeanAll(ag::Mul(y3, y3)));
+          }};
 }
 
 GradCheckCase GcTransposeLast2() {

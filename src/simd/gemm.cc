@@ -4,7 +4,6 @@
 
 #include "common/check.h"
 #include "runtime/parallel.h"
-#include "tensor/buffer_pool.h"
 
 namespace stwa {
 namespace simd {
@@ -14,171 +13,113 @@ constexpr int64_t kW = Vec::kWidth;
 // Matches ops::detail::kMinChunkWork (kept local: simd must not depend on
 // tensor/ops.h, which includes this layer).
 constexpr int64_t kMinChunkFlops = 16384;
-// Packed path pays one B repack + A tile packs per K block; below this
-// flop count the row kernels win.
-constexpr int64_t kPackedMinFlops = 128 * 1024;
+// Column block of the register tile: two vectors.
+constexpr int64_t kGemmNR = 2 * kW;
+// NT panels hold at most kPanelK k steps (4 KiB of stack on AVX2); longer
+// k runs in K blocks that resume each chain from C.
+constexpr int64_t kPanelK = 64;
 
 int64_t RowGrain(int64_t k, int64_t n) {
   const int64_t flops_per_row = std::max<int64_t>(1, k * n);
   return std::max<int64_t>(1, kMinChunkFlops / flops_per_row);
 }
 
-// --- Packing -------------------------------------------------------------
+// --- Row kernels ---------------------------------------------------------
 
-// Packs rows [kb, kb+kc) of op(B) columns [j0, j0+kNR) into dst[kc][kNR],
-// zero-padding columns past n. Pad columns are harmless: their lanes are
-// never stored (lane independence), and zero is the FMA identity.
-void PackBPanel(const float* b, float* dst, int64_t kb, int64_t kc,
-                int64_t j0, int64_t n, int64_t k, bool trans_b) {
-  const int64_t cols = std::min(kGemmNR, n - j0);
-  if (!trans_b) {
-    const float* src = b + kb * n + j0;
-    float* d = dst;
-    for (int64_t kk = 0; kk < kc; ++kk, src += n, d += kGemmNR) {
-      int64_t j = 0;
-      for (; j < cols; ++j) d[j] = src[j];
-      for (; j < kGemmNR; ++j) d[j] = 0.0f;
-    }
-  } else {
-    // b is [n, k]: op(B)[kb+kk][j0+j] = b[(j0+j)*k + kb+kk]. Iterate j
-    // outer so each source row is read contiguously.
-    for (int64_t j = 0; j < cols; ++j) {
-      const float* src = b + (j0 + j) * k + kb;
-      for (int64_t kk = 0; kk < kc; ++kk) dst[kk * kGemmNR + j] = src[kk];
-    }
-    for (int64_t j = cols; j < kGemmNR; ++j) {
-      for (int64_t kk = 0; kk < kc; ++kk) dst[kk * kGemmNR + j] = 0.0f;
-    }
-  }
-}
-
-// Packs op(A) rows [i0, i0+rows) x k-range [kb, kb+kc) into dst[kc][kMR]
-// (k-major so the microkernel broadcasts from a contiguous sliver),
-// zero-padding rows past m. Pad rows accumulate zeros and are never
-// stored.
-void PackATile(const float* a, float* dst, int64_t i0, int64_t rows,
-               int64_t kb, int64_t kc, int64_t m, int64_t k, bool trans_a) {
-  if (!trans_a) {
-    for (int64_t r = 0; r < rows; ++r) {
-      const float* src = a + (i0 + r) * k + kb;
-      for (int64_t kk = 0; kk < kc; ++kk) dst[kk * kGemmMR + r] = src[kk];
-    }
-  } else {
-    // a is [k, m]: op(A)[i0+r][kb+kk] = a[(kb+kk)*m + i0+r].
-    for (int64_t kk = 0; kk < kc; ++kk) {
-      const float* src = a + (kb + kk) * m + i0;
-      for (int64_t r = 0; r < rows; ++r) dst[kk * kGemmMR + r] = src[r];
-    }
-  }
-  if (rows < kGemmMR) {
-    for (int64_t kk = 0; kk < kc; ++kk) {
-      for (int64_t r = rows; r < kGemmMR; ++r) dst[kk * kGemmMR + r] = 0.0f;
-    }
-  }
-}
-
-// --- Microkernel ---------------------------------------------------------
-
-// kMR x kNR register tile: C[0:rows, 0:cols] (+)= Apack @ Bpanel over kc
-// k steps. `first` zeroes the accumulators; later K blocks reload the
-// partial C values, which resumes each element's k-ascending FMA chain
-// exactly (a load/store round trip does not round).
-void MicroKernel(const float* ap, const float* bp, float* c, int64_t ldc,
-                 int64_t kc, bool first, int64_t rows, int64_t cols) {
-  Vec acc[kGemmMR][2];
-  for (int64_t r = 0; r < kGemmMR; ++r) {
-    if (first || r >= rows) {
-      acc[r][0] = Vec::Zero();
-      acc[r][1] = Vec::Zero();
-    } else {
-      const float* cr = c + r * ldc;
-      if (cols >= kGemmNR) {
-        acc[r][0] = Vec::Load(cr);
-        acc[r][1] = Vec::Load(cr + kW);
-      } else if (cols > kW) {
-        acc[r][0] = Vec::Load(cr);
-        acc[r][1] = LoadPartial(cr + kW, cols - kW);
-      } else {
-        acc[r][0] = LoadPartial(cr, cols);
-        acc[r][1] = Vec::Zero();
-      }
+// R x V register tile over kc k steps: C[r, 0:cols] for r < R, where
+// cols <= V*kW. A(r, kk) = a[r * a_row + kk * a_k]; row kk of op(B) starts
+// at b + kk * ldb. Each element is one k-ascending Vec::Fma chain, started
+// from zero or, with `resume`, from the value already in C (exact: a
+// load/store round trip does not round). kMaskB loads the last vector of
+// each op(B) row through a tail mask (a ragged column block: lanes past
+// `cols` are never read); C tails are always masked.
+template <int R, int V, bool kMaskB>
+inline void RowTile(const float* a, int64_t a_row, int64_t a_k,
+                    const float* b, int64_t ldb, float* c, int64_t ldc,
+                    int64_t kc, int64_t cols, bool resume) {
+  const int64_t tail = cols - (V - 1) * kW;  // lanes of the last vector
+  Vec acc[R][V];
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < V; ++v) {
+      const float* cp = c + r * ldc + v * kW;
+      acc[r][v] = !resume         ? Vec::Zero()
+                  : v == V - 1    ? LoadPartial(cp, tail)
+                                  : Vec::Load(cp);
     }
   }
   for (int64_t kk = 0; kk < kc; ++kk) {
-    const Vec b0 = Vec::Load(bp + kk * kGemmNR);
-    const Vec b1 = Vec::Load(bp + kk * kGemmNR + kW);
-    const float* ar = ap + kk * kGemmMR;
-    for (int64_t r = 0; r < kGemmMR; ++r) {
-      const Vec av = Vec::Broadcast(ar[r]);
-      acc[r][0] = Vec::Fma(av, b0, acc[r][0]);
-      acc[r][1] = Vec::Fma(av, b1, acc[r][1]);
+    const float* br = b + kk * ldb;
+    Vec bv[V];
+    for (int v = 0; v < V; ++v) {
+      bv[v] = kMaskB && v == V - 1 ? LoadPartial(br + v * kW, tail)
+                                   : Vec::Load(br + v * kW);
+    }
+    const float* ak = a + kk * a_k;
+    for (int r = 0; r < R; ++r) {
+      const Vec av = Vec::Broadcast(ak[r * a_row]);
+      for (int v = 0; v < V; ++v) acc[r][v] = Vec::Fma(av, bv[v], acc[r][v]);
     }
   }
-  for (int64_t r = 0; r < rows; ++r) {
+  for (int r = 0; r < R; ++r) {
     float* cr = c + r * ldc;
-    if (cols >= kGemmNR) {
-      acc[r][0].Store(cr);
-      acc[r][1].Store(cr + kW);
-    } else if (cols > kW) {
-      acc[r][0].Store(cr);
-      StorePartial(acc[r][1], cr + kW, cols - kW);
+    for (int v = 0; v < V - 1; ++v) acc[r][v].Store(cr + v * kW);
+    if (tail == kW) {
+      acc[r][V - 1].Store(cr + (V - 1) * kW);
     } else {
-      StorePartial(acc[r][0], cr, cols);
+      StorePartial(acc[r][V - 1], cr + (V - 1) * kW, tail);
     }
   }
 }
 
-void GemmPacked(const float* a, const float* b, float* c, int64_t m,
-                int64_t n, int64_t k, bool trans_a, bool trans_b) {
-  const int64_t num_jp = (n + kGemmNR - 1) / kGemmNR;
-  const int64_t num_it = (m + kGemmMR - 1) / kGemmMR;
-  const int64_t kc_max = std::min(k, kGemmKC);
-  // One panel set per K block, recycled through the buffer pool.
-  auto bscratch = pool::Acquire(kc_max * num_jp * kGemmNR);
-  auto ascratch = pool::Acquire(kc_max * num_it * kGemmMR);
-  float* pb = bscratch->data();
-  float* pa = ascratch->data();
-  for (int64_t kb = 0; kb < k; kb += kGemmKC) {
-    const int64_t kc = std::min(kGemmKC, k - kb);
-    runtime::ParallelFor(
-        0, num_jp, std::max<int64_t>(1, kMinChunkFlops / (kc * kGemmNR)),
-        [&](int64_t jp0, int64_t jp1) {
-          for (int64_t jp = jp0; jp < jp1; ++jp) {
-            PackBPanel(b, pb + jp * kc * kGemmNR, kb, kc, jp * kGemmNR, n,
-                       k, trans_b);
-          }
-        });
-    runtime::ParallelFor(
-        0, num_it, std::max<int64_t>(1, kMinChunkFlops / (kc * kGemmMR)),
-        [&](int64_t t0, int64_t t1) {
-          for (int64_t t = t0; t < t1; ++t) {
-            const int64_t i0 = t * kGemmMR;
-            PackATile(a, pa + t * kc * kGemmMR, i0,
-                      std::min(kGemmMR, m - i0), kb, kc, m, k, trans_a);
-          }
-        });
-    const bool first = kb == 0;
-    // Panel-outer loop: one kc x kNR B panel stays cache-resident while
-    // every packed A tile streams through it — far less B re-read traffic
-    // than tile-outer. Work is fixed by index math (panel jp covers
-    // columns [jp*NR, jp*NR+NR), tile t rows [t*MR, t*MR+MR)), never by
-    // chunk phase, so results are chunking-independent.
-    runtime::ParallelFor(
-        0, num_jp,
-        std::max<int64_t>(1, kMinChunkFlops /
-                                 (kc * kGemmNR * std::max<int64_t>(1, m))),
-        [&](int64_t jp0, int64_t jp1) {
-          for (int64_t jp = jp0; jp < jp1; ++jp) {
-            const float* bp = pb + jp * kc * kGemmNR;
-            const int64_t j0 = jp * kGemmNR;
-            const int64_t cols = std::min(kGemmNR, n - j0);
-            for (int64_t t = 0; t < num_it; ++t) {
-              const int64_t i0 = t * kGemmMR;
-              MicroKernel(pa + t * kc * kGemmMR, bp, c + i0 * n + j0, n,
-                          kc, first, std::min(kGemmMR, m - i0), cols);
-            }
-          }
-        });
+// Rows [i0, i1) of one column block (cols <= kGemmNR columns starting at
+// b and c) in kGemmRowTile-row tiles plus one remainder tile.
+template <int V, bool kMaskB>
+void RowSweep(const float* a, int64_t a_row, int64_t a_k, const float* b,
+              int64_t ldb, float* c, int64_t ldc, int64_t i0, int64_t i1,
+              int64_t kc, int64_t cols, bool resume) {
+  int64_t i = i0;
+  for (; i + kGemmRowTile <= i1; i += kGemmRowTile) {
+    RowTile<kGemmRowTile, V, kMaskB>(a + i * a_row, a_row, a_k, b, ldb,
+                                 c + i * ldc, ldc, kc, cols, resume);
+  }
+  const float* ai = a + i * a_row;
+  float* ci = c + i * ldc;
+  switch (i1 - i) {
+    case 3:
+      RowTile<3, V, kMaskB>(ai, a_row, a_k, b, ldb, ci, ldc, kc, cols, resume);
+      break;
+    case 2:
+      RowTile<2, V, kMaskB>(ai, a_row, a_k, b, ldb, ci, ldc, kc, cols, resume);
+      break;
+    case 1:
+      RowTile<1, V, kMaskB>(ai, a_row, a_k, b, ldb, ci, ldc, kc, cols, resume);
+      break;
+    default:
+      break;
+  }
+}
+
+// One column block: two vectors when it is wider than one, and a masked
+// last B vector when the block is ragged.
+void RowBlock(const float* a, int64_t a_row, int64_t a_k, const float* b,
+              int64_t ldb, float* c, int64_t ldc, int64_t i0, int64_t i1,
+              int64_t kc, int64_t cols, bool resume) {
+  const bool ragged = cols % kW != 0;
+  if (cols > kW) {
+    (ragged ? RowSweep<2, true> : RowSweep<2, false>)(
+        a, a_row, a_k, b, ldb, c, ldc, i0, i1, kc, cols, resume);
+  } else {
+    (ragged ? RowSweep<1, true> : RowSweep<1, false>)(
+        a, a_row, a_k, b, ldb, c, ldc, i0, i1, kc, cols, resume);
+  }
+}
+
+// NN/TN: op(B) is B[k, n] itself, read in place in kGemmNR-column blocks.
+void RowKernel(const float* a, int64_t a_row, int64_t a_k, const float* b,
+               float* c, int64_t i0, int64_t i1, int64_t k, int64_t n) {
+  for (int64_t j0 = 0; j0 < n; j0 += kGemmNR) {
+    RowBlock(a, a_row, a_k, b + j0, n, c + j0, n, i0, i1, k,
+             std::min(kGemmNR, n - j0), /*resume=*/false);
   }
 }
 
@@ -186,134 +127,48 @@ void GemmPacked(const float* a, const float* b, float* c, int64_t m,
 
 void GemmRowsNN(const float* a, const float* b, float* c, int64_t i0,
                 int64_t i1, int64_t k, int64_t n) {
-  for (int64_t i = i0; i < i1; ++i) {
-    const float* ar = a + i * k;
-    float* cr = c + i * n;
-    int64_t j = 0;
-    // 4-vector register block held across the whole k loop; each C
-    // element is one k-ascending FMA chain.
-    for (; j + 4 * kW <= n; j += 4 * kW) {
-      Vec a0 = Vec::Zero();
-      Vec a1 = Vec::Zero();
-      Vec a2 = Vec::Zero();
-      Vec a3 = Vec::Zero();
-      const float* bp = b + j;
-      for (int64_t kk = 0; kk < k; ++kk, bp += n) {
-        const Vec av = Vec::Broadcast(ar[kk]);
-        a0 = Vec::Fma(av, Vec::Load(bp), a0);
-        a1 = Vec::Fma(av, Vec::Load(bp + kW), a1);
-        a2 = Vec::Fma(av, Vec::Load(bp + 2 * kW), a2);
-        a3 = Vec::Fma(av, Vec::Load(bp + 3 * kW), a3);
-      }
-      a0.Store(cr + j);
-      a1.Store(cr + j + kW);
-      a2.Store(cr + j + 2 * kW);
-      a3.Store(cr + j + 3 * kW);
-    }
-    for (; j + kW <= n; j += kW) {
-      Vec acc = Vec::Zero();
-      const float* bp = b + j;
-      for (int64_t kk = 0; kk < k; ++kk, bp += n) {
-        acc = Vec::Fma(Vec::Broadcast(ar[kk]), Vec::Load(bp), acc);
-      }
-      acc.Store(cr + j);
-    }
-    if (j < n) {
-      const int64_t rem = n - j;
-      Vec acc = Vec::Zero();
-      const float* bp = b + j;
-      for (int64_t kk = 0; kk < k; ++kk, bp += n) {
-        acc = Vec::Fma(Vec::Broadcast(ar[kk]), LoadPartial(bp, rem), acc);
-      }
-      StorePartial(acc, cr + j, rem);
-    }
-  }
+  RowKernel(a, /*a_row=*/k, /*a_k=*/1, b, c, i0, i1, k, n);
 }
 
 void GemmRowsNT(const float* a, const float* b, float* c, int64_t i0,
                 int64_t i1, int64_t k, int64_t n) {
-  for (int64_t i = i0; i < i1; ++i) {
-    const float* ar = a + i * k;
-    float* cr = c + i * n;
-    for (int64_t j = 0; j < n; ++j) {
-      const float* br = b + j * k;
-      // Fixed 4-vector lane accumulators combined in a fixed tree: the
-      // lane a product lands in depends only on its k index.
-      Vec a0 = Vec::Zero();
-      Vec a1 = Vec::Zero();
-      Vec a2 = Vec::Zero();
-      Vec a3 = Vec::Zero();
-      int64_t kk = 0;
-      for (; kk + 4 * kW <= k; kk += 4 * kW) {
-        a0 = Vec::Fma(Vec::Load(ar + kk), Vec::Load(br + kk), a0);
-        a1 = Vec::Fma(Vec::Load(ar + kk + kW), Vec::Load(br + kk + kW), a1);
-        a2 = Vec::Fma(Vec::Load(ar + kk + 2 * kW),
-                      Vec::Load(br + kk + 2 * kW), a2);
-        a3 = Vec::Fma(Vec::Load(ar + kk + 3 * kW),
-                      Vec::Load(br + kk + 3 * kW), a3);
+  if (i1 - i0 == 1 && k <= 2 * kW) {
+    // A single short row is its own transpose: C[i, :]^T = B A[i, :]^T,
+    // so the NN tiles run over B's rows against A's row read as a [k, 1]
+    // column. Same products in the same k order, and no panel: a freshly
+    // written panel read back at once would stall on store forwarding.
+    // Only for short k (the window-attention shapes): each FMA here does
+    // one useful lane.
+    RowKernel(b, /*a_row=*/k, /*a_k=*/1, a + i0 * k, c + i0 * n, 0, n, k, 1);
+    return;
+  }
+  // op(B) = B^T, packed one column block and K block at a time into a
+  // stack panel [kc][width] (width = the block's vector count times kW)
+  // and swept by the NN tiles; a ragged block's tail lanes are loaded
+  // through a mask, so pad columns are never written or read. Later K
+  // blocks resume each element's chain from C. The do-while runs once
+  // for k == 0, writing zeros.
+  alignas(64) float panel[kPanelK * kGemmNR];
+  for (int64_t j0 = 0; j0 < n; j0 += kGemmNR) {
+    const int64_t cols = std::min(kGemmNR, n - j0);
+    const int64_t width = cols > kW ? kGemmNR : kW;
+    int64_t kb = 0;
+    do {
+      const int64_t kc = std::min(kPanelK, k - kb);
+      for (int64_t j = 0; j < cols; ++j) {
+        const float* src = b + (j0 + j) * k + kb;
+        for (int64_t kk = 0; kk < kc; ++kk) panel[kk * width + j] = src[kk];
       }
-      for (; kk + kW <= k; kk += kW) {
-        a0 = Vec::Fma(Vec::Load(ar + kk), Vec::Load(br + kk), a0);
-      }
-      if (kk < k) {
-        const int64_t rem = k - kk;
-        // Zero pad lanes: fma(0, 0, acc) == acc exactly, so the tail
-        // needs no mask.
-        a0 = Vec::Fma(LoadPartial(ar + kk, rem), LoadPartial(br + kk, rem),
-                      a0);
-      }
-      cr[j] = ReduceAdd(((a0 + a1) + (a2 + a3)));
-    }
+      RowBlock(a + kb, /*a_row=*/k, /*a_k=*/1, panel, width, c + j0, n, i0,
+               i1, kc, cols, /*resume=*/kb > 0);
+      kb += kPanelK;
+    } while (kb < k);
   }
 }
 
 void GemmRowsTN(const float* a, const float* b, float* c, int64_t i0,
                 int64_t i1, int64_t k, int64_t m, int64_t n) {
-  for (int64_t i = i0; i < i1; ++i) {
-    float* cr = c + i * n;
-    int64_t j = 0;
-    for (; j + 4 * kW <= n; j += 4 * kW) {
-      Vec a0 = Vec::Zero();
-      Vec a1 = Vec::Zero();
-      Vec a2 = Vec::Zero();
-      Vec a3 = Vec::Zero();
-      const float* bp = b + j;
-      for (int64_t kk = 0; kk < k; ++kk, bp += n) {
-        const Vec av = Vec::Broadcast(a[kk * m + i]);
-        a0 = Vec::Fma(av, Vec::Load(bp), a0);
-        a1 = Vec::Fma(av, Vec::Load(bp + kW), a1);
-        a2 = Vec::Fma(av, Vec::Load(bp + 2 * kW), a2);
-        a3 = Vec::Fma(av, Vec::Load(bp + 3 * kW), a3);
-      }
-      a0.Store(cr + j);
-      a1.Store(cr + j + kW);
-      a2.Store(cr + j + 2 * kW);
-      a3.Store(cr + j + 3 * kW);
-    }
-    for (; j + kW <= n; j += kW) {
-      Vec acc = Vec::Zero();
-      const float* bp = b + j;
-      for (int64_t kk = 0; kk < k; ++kk, bp += n) {
-        acc = Vec::Fma(Vec::Broadcast(a[kk * m + i]), Vec::Load(bp), acc);
-      }
-      acc.Store(cr + j);
-    }
-    if (j < n) {
-      const int64_t rem = n - j;
-      Vec acc = Vec::Zero();
-      const float* bp = b + j;
-      for (int64_t kk = 0; kk < k; ++kk, bp += n) {
-        acc = Vec::Fma(Vec::Broadcast(a[kk * m + i]), LoadPartial(bp, rem),
-                       acc);
-      }
-      StorePartial(acc, cr + j, rem);
-    }
-  }
-}
-
-bool GemmUsesPackedPath(int64_t m, int64_t n, int64_t k) {
-  return kEnabled && m >= kGemmMR && n >= kGemmNR &&
-         m * n * k >= kPackedMinFlops;
+  RowKernel(a, /*a_row=*/1, /*a_k=*/m, b, c, i0, i1, k, n);
 }
 
 void Gemm2D(const float* a, const float* b, float* c, int64_t m, int64_t n,
@@ -324,20 +179,21 @@ void Gemm2D(const float* a, const float* b, float* c, int64_t m, int64_t n,
     std::fill(c, c + m * n, 0.0f);
     return;
   }
-  if (GemmUsesPackedPath(m, n, k)) {
-    GemmPacked(a, b, c, m, n, k, trans_a, trans_b);
-    return;
-  }
-  runtime::ParallelFor(0, m, RowGrain(k, n),
-                       [=](int64_t i0, int64_t i1) {
-                         if (trans_a) {
-                           GemmRowsTN(a, b, c, i0, i1, k, m, n);
-                         } else if (trans_b) {
-                           GemmRowsNT(a, b, c, i0, i1, k, n);
-                         } else {
-                           GemmRowsNN(a, b, c, i0, i1, k, n);
-                         }
-                       });
+  // Parallel over whole kGemmRowTile-row tiles, so no chunk hands a kernel a
+  // lone row (a 1-row tile re-reads all of op(B) for one row of C).
+  const int64_t tiles = (m + kGemmRowTile - 1) / kGemmRowTile;
+  const int64_t grain = (RowGrain(k, n) + kGemmRowTile - 1) / kGemmRowTile;
+  runtime::ParallelFor(0, tiles, grain, [=](int64_t t0, int64_t t1) {
+    const int64_t i0 = t0 * kGemmRowTile;
+    const int64_t i1 = std::min(m, t1 * kGemmRowTile);
+    if (trans_a) {
+      GemmRowsTN(a, b, c, i0, i1, k, m, n);
+    } else if (trans_b) {
+      GemmRowsNT(a, b, c, i0, i1, k, n);
+    } else {
+      GemmRowsNN(a, b, c, i0, i1, k, n);
+    }
+  });
 }
 
 }  // namespace simd

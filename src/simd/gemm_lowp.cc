@@ -58,34 +58,6 @@ inline float OpA(const float* a, int64_t i, int64_t kk, int64_t k,
   return trans_a ? a[kk * m + i] : a[i * k + kk];
 }
 
-// Packs op(A) rows [i0, i0+rows) into dst[k][mr] (k-major, zero row
-// padding) — the same tile shape the fp32 packed path uses, so the
-// microkernel broadcasts from a contiguous sliver.
-void PackATileF32(const float* a, float* dst, int64_t i0, int64_t rows,
-                  int64_t mr, int64_t m, int64_t k, bool trans_a) {
-  if (!trans_a) {
-    for (int64_t r = 0; r < rows; ++r) {
-      const float* src = a + (i0 + r) * k;
-      for (int64_t kk = 0; kk < k; ++kk) dst[kk * mr + r] = src[kk];
-    }
-  } else {
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float* src = a + kk * m + i0;
-      for (int64_t r = 0; r < rows; ++r) dst[kk * mr + r] = src[r];
-    }
-  }
-  if (rows < mr) {
-    for (int64_t kk = 0; kk < k; ++kk) {
-      for (int64_t r = rows; r < mr; ++r) dst[kk * mr + r] = 0.0f;
-    }
-  }
-}
-
-int64_t PanelFlopGrain(int64_t m, int64_t k) {
-  return std::max<int64_t>(
-      1, kMinChunkFlops / std::max<int64_t>(1, k * kLowpNR * m));
-}
-
 // --- Scalar implementations (reference on vector builds, production on
 // --- scalar/SSE2/NEON builds) --------------------------------------------
 
@@ -198,6 +170,34 @@ void Bf16Tile256(const float* ap, const uint16_t* bp, float* c, int64_t ldc,
 #endif
 
 #if defined(STWA_LOWP_AVX512) || defined(STWA_SIMD_AVX2)
+
+// Packs op(A) rows [i0, i0+rows) into dst[k][mr] (k-major, zero row
+// padding) — the same tile shape the fp32 packed path uses, so the
+// microkernel broadcasts from a contiguous sliver.
+void PackATileF32(const float* a, float* dst, int64_t i0, int64_t rows,
+                  int64_t mr, int64_t m, int64_t k, bool trans_a) {
+  if (!trans_a) {
+    for (int64_t r = 0; r < rows; ++r) {
+      const float* src = a + (i0 + r) * k;
+      for (int64_t kk = 0; kk < k; ++kk) dst[kk * mr + r] = src[kk];
+    }
+  } else {
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const float* src = a + kk * m + i0;
+      for (int64_t r = 0; r < rows; ++r) dst[kk * mr + r] = src[r];
+    }
+  }
+  if (rows < mr) {
+    for (int64_t kk = 0; kk < k; ++kk) {
+      for (int64_t r = rows; r < mr; ++r) dst[kk * mr + r] = 0.0f;
+    }
+  }
+}
+
+int64_t PanelFlopGrain(int64_t m, int64_t k) {
+  return std::max<int64_t>(
+      1, kMinChunkFlops / std::max<int64_t>(1, k * kLowpNR * m));
+}
 
 void VectorBf16(const float* a, const PackedWeights& w, float* c, int64_t m,
                 bool trans_a) {

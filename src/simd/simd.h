@@ -6,18 +6,23 @@
 //   (4 lanes) -> scalar (1 lane).
 // -DSTWA_NO_SIMD=1 (CMake option STWA_NO_SIMD) forces the scalar tier for
 // A/B runs; under it kEnabled is false and tensor/ops.cc compiles its
-// legacy scalar kernels, so a scalar build is bit-identical to the
-// pre-SIMD library.
+// legacy scalar kernels (forward values match the pre-SIMD library;
+// training gradients do not, since rank-2 weight gradients are one
+// flattened GEMM — DESIGN.md §4e).
 //
 // Determinism contract (DESIGN.md §4e): every Vec operation is
 // lane-independent except the Reduce* helpers, which combine lanes in a
 // fixed pairwise tree. Kernels built on Vec must handle ragged tails with
-// LoadPartial/StorePartial (the same vector instructions on a padded
-// stack copy) rather than scalar remainder loops — ParallelFor chunk
-// boundaries move with the thread count, and only lane-independent tails
-// keep results bit-identical across chunkings. Which values the pad lanes
-// hold never matters: they are masked off by StorePartial/MaskFirstN, or
-// chosen as the reduction identity (0 for add with mul/fma, -inf for max).
+// LoadPartial/StorePartial rather than scalar remainder loops —
+// ParallelFor chunk boundaries move with the thread count, and only
+// lane-independent tails keep results bit-identical across chunkings.
+// On AVX2 those are masked loads/stores (_mm256_maskload_ps /
+// _mm256_maskstore_ps through a lane mask, the pad blended in); SSE2 uses
+// 1-3 float register loads/stores; NEON and scalar copy through a padded
+// stack buffer. None touches memory past element n. Which values the pad
+// lanes hold never matters: they are masked off by StorePartial/MaskFirstN,
+// or chosen as the reduction identity (0 for add with mul/fma, -inf for
+// max).
 //
 // Within one build configuration results are bit-identical across thread
 // counts, pool on/off and plan on/off. Across build configurations
@@ -27,6 +32,7 @@
 #ifndef STWA_SIMD_SIMD_H_
 #define STWA_SIMD_SIMD_H_
 
+#include <bit>
 #include <cmath>
 #include <concepts>
 #include <cstdint>
@@ -264,12 +270,112 @@ constexpr bool kHasFma = false;
 
 #endif
 
-// --- ISA-independent helpers (built on Load/Store only) ------------------
+// --- Ragged tails ----------------------------------------------------------
+
+namespace detail {
+// Eight all-ones words then eight zeros: the kWidth words starting at
+// kTailMaskWords + 8 - n select the first n lanes.
+alignas(64) inline constexpr int32_t kTailMaskWords[16] = {
+    -1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0};
+
+inline bool IsPositiveZero(float x) { return std::bit_cast<uint32_t>(x) == 0; }
+}  // namespace detail
+
+#if defined(STWA_SIMD_AVX2)
+
+inline __m256i TailMask(int64_t n) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+      detail::kTailMaskWords + 8 - n));
+}
 
 /// Loads the first `n` floats of `p` (n <= kWidth) into the low lanes; the
-/// remaining lanes hold `pad`. Same vector instructions as a full Load on
-/// a padded stack copy, so downstream lane-independent ops stay
-/// bit-identical regardless of where a chunk boundary fell.
+/// remaining lanes hold `pad`. Masked lanes are never read (no fault past
+/// the end of a buffer), and the loaded lanes hold exactly the values a
+/// full Load would, so lane-independent kernels stay bit-identical
+/// wherever a chunk boundary falls.
+inline Vec LoadPartial(const float* p, int64_t n, float pad = 0.0f) {
+  const __m256i mask = TailMask(n);
+  const __m256 v = _mm256_maskload_ps(p, mask);  // masked lanes read as +0
+  if (detail::IsPositiveZero(pad)) return {v};
+  return {_mm256_blendv_ps(_mm256_set1_ps(pad), v, _mm256_castsi256_ps(mask))};
+}
+
+/// Stores the first `n` lanes of `v` (n <= kWidth) to `p`; memory past
+/// p[n-1] is never written.
+inline void StorePartial(Vec v, float* p, int64_t n) {
+  _mm256_maskstore_ps(p, TailMask(n), v.v);
+}
+
+/// Replaces lanes [n, kWidth) with `fill` — used to mask ragged-tail pad
+/// lanes out of a reduction whose identity is `fill`.
+inline Vec MaskFirstN(Vec v, int64_t n, float fill = 0.0f) {
+  return {_mm256_blendv_ps(_mm256_set1_ps(fill), v.v,
+                           _mm256_castsi256_ps(TailMask(n)))};
+}
+
+#elif defined(STWA_SIMD_SSE2)
+
+inline __m128 TailMask(int64_t n) {
+  return _mm_castsi128_ps(_mm_loadu_si128(
+      reinterpret_cast<const __m128i*>(detail::kTailMaskWords + 8 - n)));
+}
+
+/// See the AVX2 tier: the first `n` lanes come from `p` (register loads of
+/// 1, 2 or 3 floats, never a read past p[n-1]); the rest hold `pad`.
+inline Vec LoadPartial(const float* p, int64_t n, float pad = 0.0f) {
+  __m128 v;
+  switch (n) {
+    case 0:
+      v = _mm_setzero_ps();
+      break;
+    case 1:
+      v = _mm_load_ss(p);
+      break;
+    case 2:
+      v = _mm_loadl_pi(_mm_setzero_ps(), reinterpret_cast<const __m64*>(p));
+      break;
+    case 3:
+      v = _mm_movelh_ps(
+          _mm_loadl_pi(_mm_setzero_ps(), reinterpret_cast<const __m64*>(p)),
+          _mm_load_ss(p + 2));
+      break;
+    default:
+      v = _mm_loadu_ps(p);
+      break;
+  }
+  if (detail::IsPositiveZero(pad)) return {v};
+  const __m128 mask = TailMask(n);
+  return {_mm_or_ps(_mm_and_ps(mask, v), _mm_andnot_ps(mask, _mm_set1_ps(pad)))};
+}
+
+inline void StorePartial(Vec v, float* p, int64_t n) {
+  switch (n) {
+    case 0:
+      break;
+    case 1:
+      _mm_store_ss(p, v.v);
+      break;
+    case 2:
+      _mm_storel_pi(reinterpret_cast<__m64*>(p), v.v);
+      break;
+    case 3:
+      _mm_storel_pi(reinterpret_cast<__m64*>(p), v.v);
+      _mm_store_ss(p + 2, _mm_movehl_ps(v.v, v.v));
+      break;
+    default:
+      _mm_storeu_ps(p, v.v);
+      break;
+  }
+}
+
+inline Vec MaskFirstN(Vec v, int64_t n, float fill = 0.0f) {
+  const __m128 mask = TailMask(n);
+  return {_mm_or_ps(_mm_and_ps(mask, v.v),
+                    _mm_andnot_ps(mask, _mm_set1_ps(fill)))};
+}
+
+#else  // NEON and scalar: a padded stack copy
+
 inline Vec LoadPartial(const float* p, int64_t n, float pad = 0.0f) {
   alignas(64) float tmp[Vec::kWidth];
   for (int64_t i = 0; i < Vec::kWidth; ++i) tmp[i] = pad;
@@ -277,22 +383,22 @@ inline Vec LoadPartial(const float* p, int64_t n, float pad = 0.0f) {
   return Vec::Load(tmp);
 }
 
-/// Stores the first `n` lanes of `v` (n <= kWidth) to `p`; pad lanes are
-/// dropped.
 inline void StorePartial(Vec v, float* p, int64_t n) {
   alignas(64) float tmp[Vec::kWidth];
   v.Store(tmp);
   std::memcpy(p, tmp, static_cast<size_t>(n) * sizeof(float));
 }
 
-/// Replaces lanes [n, kWidth) with `fill` — used to mask ragged-tail pad
-/// lanes out of a reduction whose identity is `fill`.
 inline Vec MaskFirstN(Vec v, int64_t n, float fill = 0.0f) {
   alignas(64) float tmp[Vec::kWidth];
   v.Store(tmp);
   for (int64_t i = n; i < Vec::kWidth; ++i) tmp[i] = fill;
   return Vec::Load(tmp);
 }
+
+#endif
+
+// --- ISA-independent helpers (built on Load/Store only) ------------------
 
 /// Sum of all lanes in a fixed pairwise tree: width 8 combines as
 /// ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)); width 4 as (l0+l1)+(l2+l3).

@@ -268,6 +268,14 @@ void MatMulRowRange(const float* __restrict__ A, const float* __restrict__ B,
   }
 }
 
+// Rows of `a` viewed as a matrix over its last dim: the product of every
+// other dim.
+int64_t LeadingRows(const Tensor& a) {
+  int64_t rows = 1;
+  for (int64_t d = 0; d + 1 < a.rank(); ++d) rows *= a.dim(d);
+  return rows;
+}
+
 // Row grain so one chunk holds at least ~kMinChunkWork multiply-adds.
 int64_t MatMulRowGrain(int64_t k, int64_t n) {
   const int64_t flops_per_row = std::max<int64_t>(1, k * n);
@@ -325,12 +333,14 @@ void MatMulTNRowRange(const float* __restrict__ A, const float* __restrict__ B,
   }
 }
 
-// Shared batched driver for the transposed-operand products: broadcasts
-// the batch dims like MatMul and hands each (batch, row-range) pair to
-// `row_fn(a_panel, b_panel, o_panel, i0, i1)`.
+// Shared batched driver for MatMul / MatMulNT / MatMulTN: broadcasts the
+// batch dims and hands each (batch, row-range) pair to
+// `row_fn(a_panel, b_panel, o_panel, i0, i1)`, which writes every element
+// of its rows. Parallel over the flattened (batch, row) space so small-m
+// batches and single large matrices both load every worker.
 template <typename RowFn>
-Tensor BatchedTransposedProduct(const Tensor& a, const Tensor& b, int64_t m,
-                                int64_t n, int64_t k, RowFn&& row_fn) {
+Tensor BatchedProduct(const Tensor& a, const Tensor& b, int64_t m, int64_t n,
+                      int64_t k, RowFn&& row_fn) {
   Shape a_batch(a.shape().begin(), a.shape().end() - 2);
   Shape b_batch(b.shape().begin(), b.shape().end() - 2);
   Shape batch = BroadcastShapes(a_batch, b_batch);
@@ -338,8 +348,10 @@ Tensor BatchedTransposedProduct(const Tensor& a, const Tensor& b, int64_t m,
   Shape out_shape = batch;
   out_shape.push_back(m);
   out_shape.push_back(n);
-  Tensor out = Tensor::Uninit(out_shape);  // row kernels write every element
+  Tensor out = Tensor::Uninit(out_shape);
   if (out.size() == 0) return out;
+  // Without broadcasting, batch bi of each operand is simply matrix bi.
+  const bool plain = a_batch == batch && b_batch == batch;
   std::vector<int64_t> a_strides = BroadcastStrides(a_batch, batch);
   std::vector<int64_t> b_strides = BroadcastStrides(b_batch, batch);
   std::vector<int64_t> batch_strides = Strides(batch);
@@ -353,21 +365,29 @@ Tensor BatchedTransposedProduct(const Tensor& a, const Tensor& b, int64_t m,
   const int64_t* as_p = a_strides.data();
   const int64_t* bs_p = b_strides.data();
   const int64_t batch_rank = static_cast<int64_t>(batch.size());
+  // Whole row tiles per chunk where the batch allows, so threaded chunks
+  // rarely hand the SIMD kernels a lone row.
+  const int64_t grain = (MatMulRowGrain(k, n) + simd::kGemmRowTile - 1) /
+                        simd::kGemmRowTile * simd::kGemmRowTile;
   runtime::ParallelFor(
-      0, batch_count * m, MatMulRowGrain(k, n),
+      0, batch_count * m, grain,
       [=, &row_fn](int64_t r0, int64_t r1) {
         for (int64_t r = r0; r < r1;) {
           const int64_t bi = r / m;
           const int64_t i0 = r % m;
           const int64_t i1 = std::min(m, i0 + (r1 - r));
-          int64_t a_off = 0;
-          int64_t b_off = 0;
-          int64_t rem = bi;
-          for (int64_t d = 0; d < batch_rank; ++d) {
-            int64_t coord = rem / batch_p[d];
-            rem %= batch_p[d];
-            a_off += coord * as_p[d];
-            b_off += coord * bs_p[d];
+          int64_t a_off = bi;
+          int64_t b_off = bi;
+          if (!plain) {
+            a_off = 0;
+            b_off = 0;
+            int64_t rem = bi;
+            for (int64_t d = 0; d < batch_rank; ++d) {
+              const int64_t coord = rem / batch_p[d];
+              rem %= batch_p[d];
+              a_off += coord * as_p[d];
+              b_off += coord * bs_p[d];
+            }
           }
           row_fn(pa + a_off * a_mat, pb + b_off * b_mat, po + bi * o_mat,
                  i0, i1);
@@ -472,8 +492,8 @@ Tensor MatMul2D(const Tensor& a, const Tensor& b) {
     return out;
   }
   if constexpr (simd::kEnabled) {
-    // Gemm2D writes every element (packed or row path), so the output can
-    // skip the zero fill the accumulating legacy kernel needed.
+    // Gemm2D writes every element, so the output can skip the zero fill
+    // the accumulating legacy kernel needed.
     Tensor out = Tensor::Uninit(Shape{m, n});
     simd::Gemm2D(a.data(), b.data(), out.data(), m, n, k,
                  /*trans_a=*/false, /*trans_b=*/false);
@@ -494,28 +514,21 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   if (a.rank() == 2 && b.rank() == 2) return MatMul2D(a, b);
   STWA_CHECK(a.rank() >= 2 && b.rank() >= 2,
              "MatMul needs rank >= 2 inputs");
-  // Normalise to equal batch shapes; a rank-2 operand is shared.
-  Shape a_batch(a.shape().begin(), a.shape().end() - 2);
-  Shape b_batch(b.shape().begin(), b.shape().end() - 2);
-  Shape batch = BroadcastShapes(a_batch, b_batch);
   const int64_t m = a.dim(-2);
   const int64_t k = a.dim(-1);
   const int64_t n = b.dim(-1);
   STWA_CHECK(b.dim(-2) == k, "inner dimensions mismatch: ",
              ShapeToString(a.shape()), " x ", ShapeToString(b.shape()));
-  const int64_t batch_count = NumElements(batch);
-  Shape out_shape = batch;
-  out_shape.push_back(m);
-  out_shape.push_back(n);
   // A shared rank-2 B multiplies every batch matrix by the same weights,
   // so the whole product is one [batch*m, k] x [k, n] GEMM over A's
-  // contiguous storage. The flat NN kernels are bit-identical to the
-  // per-batch row kernels (the NN packed and row paths share their
-  // k-ascending FMA chains — SimdGemmTest pins this), and the flatten is
-  // what routes nn::Linear through the packed fp32 path and the
-  // reduced-precision weight hook.
+  // contiguous storage: one Gemm2D (or reduced-precision GemmLowp) call
+  // covers the whole batch. Each row keeps its k-ascending FMA chain, so
+  // the flat product is bit-identical to the per-batch row kernels
+  // (SimdGemmTest pins this).
   if (b.rank() == 2) {
-    const int64_t rows = batch_count * m;
+    Shape out_shape(a.shape().begin(), a.shape().end() - 1);
+    out_shape.push_back(n);
+    const int64_t rows = LeadingRows(a);
     if (const auto pack = lowp::Find(b.data(), k, n, /*trans=*/false)) {
       Tensor out = Tensor::Uninit(out_shape);
       simd::GemmLowp(a.data(), *pack, out.data(), rows, /*trans_a=*/false);
@@ -538,58 +551,18 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
       return out;
     }
   }
-  // The SIMD row kernel writes every element; the legacy kernel
-  // accumulates into zeros.
-  Tensor out = simd::kEnabled ? Tensor::Uninit(out_shape)
-                              : Tensor(out_shape);
-
-  // Per-batch offsets honouring broadcasting over the batch dims.
-  std::vector<int64_t> a_strides =
-      BroadcastStrides(a_batch, batch);
-  std::vector<int64_t> b_strides =
-      BroadcastStrides(b_batch, batch);
-  std::vector<int64_t> batch_strides = Strides(batch);
-
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-  const int64_t a_mat = m * k;
-  const int64_t b_mat = k * n;
-  const int64_t o_mat = m * n;
-  const int64_t* batch_p = batch_strides.data();
-  const int64_t* as_p = a_strides.data();
-  const int64_t* bs_p = b_strides.data();
-  const int64_t batch_rank = static_cast<int64_t>(batch.size());
-  // Parallel over the flattened (batch, row) space so small-m batches and
-  // single large matrices both load every worker. Pointers and scalars are
-  // captured by value to keep them in registers across output stores.
-  runtime::ParallelFor(
-      0, batch_count * m, MatMulRowGrain(k, n),
-      [=](int64_t r0, int64_t r1) {
-        for (int64_t r = r0; r < r1;) {
-          const int64_t bi = r / m;
-          const int64_t i0 = r % m;
-          const int64_t i1 = std::min(m, i0 + (r1 - r));
-          int64_t a_off = 0;
-          int64_t b_off = 0;
-          int64_t rem = bi;
-          for (int64_t d = 0; d < batch_rank; ++d) {
-            int64_t coord = rem / batch_p[d];
-            rem %= batch_p[d];
-            a_off += coord * as_p[d];
-            b_off += coord * bs_p[d];
-          }
-          if constexpr (simd::kEnabled) {
-            simd::GemmRowsNN(pa + a_off * a_mat, pb + b_off * b_mat,
-                             po + bi * o_mat, i0, i1, k, n);
-          } else {
-            MatMulRowRange(pa + a_off * a_mat, pb + b_off * b_mat,
-                           po + bi * o_mat, i0, i1, k, n);
-          }
-          r += i1 - i0;
+  return BatchedProduct(
+      a, b, m, n, k,
+      [k, n](const float* pa, const float* pb, float* po, int64_t i0,
+             int64_t i1) {
+        if constexpr (simd::kEnabled) {
+          simd::GemmRowsNN(pa, pb, po, i0, i1, k, n);
+        } else {
+          // The legacy kernel accumulates into zeros.
+          std::fill(po + i0 * n, po + i1 * n, 0.0f);
+          MatMulRowRange(pa, pb, po, i0, i1, k, n);
         }
       });
-  return out;
 }
 
 Tensor MatMulNT(const Tensor& a, const Tensor& b) {
@@ -601,29 +574,26 @@ Tensor MatMulNT(const Tensor& a, const Tensor& b) {
   STWA_CHECK(b.dim(-1) == k, "inner dimensions mismatch: ",
              ShapeToString(a.shape()), " x ", ShapeToString(b.shape()),
              "^T");
-  // Reduced-precision hook for a registered [n, k] weight operand. A
-  // shared rank-2 B lets the batch flatten into one [batch*m, k] GEMM,
-  // same as MatMul's flatten.
+  // A shared rank-2 B lets the batch flatten into one [batch*m, k] GEMM,
+  // same as MatMul's flatten (each row's chain is unchanged by it).
   if (b.rank() == 2) {
+    Shape out_shape(a.shape().begin(), a.shape().end() - 1);
+    out_shape.push_back(n);
+    const int64_t rows = LeadingRows(a);
+    // Reduced-precision hook for a registered [n, k] weight operand.
     if (const auto pack = lowp::Find(b.data(), k, n, /*trans=*/true)) {
-      Shape out_shape(a.shape().begin(), a.shape().end() - 2);
-      out_shape.push_back(m);
-      out_shape.push_back(n);
       Tensor out = Tensor::Uninit(out_shape);
-      simd::GemmLowp(a.data(), *pack, out.data(), out.size() / std::max<int64_t>(1, n),
-                     /*trans_a=*/false);
+      simd::GemmLowp(a.data(), *pack, out.data(), rows, /*trans_a=*/false);
       return out;
     }
-  }
-  if constexpr (simd::kEnabled) {
-    if (a.rank() == 2 && b.rank() == 2 && simd::GemmUsesPackedPath(m, n, k)) {
-      Tensor out = Tensor::Uninit(Shape{m, n});
-      simd::Gemm2D(a.data(), b.data(), out.data(), m, n, k,
+    if constexpr (simd::kEnabled) {
+      Tensor out = Tensor::Uninit(out_shape);
+      simd::Gemm2D(a.data(), b.data(), out.data(), rows, n, k,
                    /*trans_a=*/false, /*trans_b=*/true);
       return out;
     }
   }
-  return BatchedTransposedProduct(
+  return BatchedProduct(
       a, b, m, n, k,
       [k, n](const float* pa, const float* pb, float* po, int64_t i0,
              int64_t i1) {
@@ -643,24 +613,22 @@ Tensor MatMulTN(const Tensor& a, const Tensor& b) {
   const int64_t n = b.dim(-1);
   STWA_CHECK(b.dim(-2) == k, "inner dimensions mismatch: ",
              ShapeToString(a.shape()), "^T x ", ShapeToString(b.shape()));
-  // Reduced-precision hook: op(B) is B's natural [k, n] layout here, so a
-  // registered NN pack serves TN too; only op(A) differs.
   if (a.rank() == 2 && b.rank() == 2) {
+    // Reduced-precision hook: op(B) is B's natural [k, n] layout here, so
+    // a registered NN pack serves TN too; only op(A) differs.
     if (const auto pack = lowp::Find(b.data(), k, n, /*trans=*/false)) {
       Tensor out = Tensor::Uninit(Shape{m, n});
       simd::GemmLowp(a.data(), *pack, out.data(), m, /*trans_a=*/true);
       return out;
     }
-  }
-  if constexpr (simd::kEnabled) {
-    if (a.rank() == 2 && b.rank() == 2 && simd::GemmUsesPackedPath(m, n, k)) {
+    if constexpr (simd::kEnabled) {
       Tensor out = Tensor::Uninit(Shape{m, n});
       simd::Gemm2D(a.data(), b.data(), out.data(), m, n, k,
                    /*trans_a=*/true, /*trans_b=*/false);
       return out;
     }
   }
-  return BatchedTransposedProduct(
+  return BatchedProduct(
       a, b, m, n, k,
       [k, m, n](const float* pa, const float* pb, float* po, int64_t i0,
                 int64_t i1) {

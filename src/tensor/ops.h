@@ -190,8 +190,8 @@ Tensor MatMul(const Tensor& a, const Tensor& b);
 
 /// Batched a @ b^T without materialising the transpose:
 /// [..., m, k] x [..., n, k] -> [..., m, n]. Batch dims broadcast like
-/// MatMul. Both operands are read contiguously along k (dot-product form);
-/// the k accumulation order is ascending, as in MatMul.
+/// MatMul, and a rank-2 b is shared across a's batch as one flattened GEMM.
+/// Each element is one k-ascending chain, as in MatMul.
 Tensor MatMulNT(const Tensor& a, const Tensor& b);
 
 /// Batched a^T @ b without materialising the transpose:

@@ -2,6 +2,7 @@
 // central finite differences, plus composite expressions and broadcast
 // backward reductions.
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -174,6 +175,39 @@ TEST(AutogradGrad, MatMulBatchedSharedRhs) {
   Var a = RandParam({2, 3, 4}, 27, 0.5f);
   Var w = RandParam({4, 2}, 28, 0.5f);
   ExpectGradOk([&] { return SumAll(Square(MatMul(a, w))); }, {a, w});
+}
+
+TEST(AutogradGrad, MatMulRank4SharedWeightMatchesPerBatchReference) {
+  // [B,N,T,k] x [k,n]: the backward flattens A and g to [rows, k] and
+  // [rows, n] and takes dW as one GEMM straight into [k, n]. Compare with
+  // per-batch products summed afterwards (a different but valid order).
+  Rng rng(41);
+  const Tensor x = Tensor::Randn({2, 3, 5, 7}, rng);
+  const Tensor w = Tensor::Randn({7, 13}, rng);
+  const Tensor g = Tensor::Randn({2, 3, 5, 13}, rng);
+  Var xv = Parameter(x.Clone());
+  Var wv = Parameter(w.Clone());
+  // d/dy of sum(y * g) is g.
+  SumAll(Mul(MatMul(xv, wv), Var(g))).Backward();
+
+  Tensor dw_ref(Shape{7, 13});
+  Tensor dx_ref(Shape{2, 3, 5, 7});
+  for (int64_t b = 0; b < 6; ++b) {
+    const Tensor xb = ops::Slice(x.Reshape({6, 5, 7}), 0, b, 1).Reshape({5, 7});
+    const Tensor gb =
+        ops::Slice(g.Reshape({6, 5, 13}), 0, b, 1).Reshape({5, 13});
+    dw_ref = ops::Add(dw_ref, ops::MatMulTN(xb, gb));
+    const Tensor dxb = ops::MatMulNT(gb, w);
+    std::copy(dxb.data(), dxb.data() + dxb.size(),
+              dx_ref.data() + b * dxb.size());
+  }
+  EXPECT_TRUE(ops::AllClose(wv.grad(), dw_ref, 1e-4f, 1e-4f));
+  EXPECT_TRUE(ops::AllClose(xv.grad(), dx_ref, 1e-4f, 1e-4f));
+
+  // A constant input (no grad) still gets the weight's gradient.
+  Var wc = Parameter(w.Clone());
+  SumAll(Mul(MatMul(Var(x), wc), Var(g))).Backward();
+  EXPECT_TRUE(ops::AllClose(wc.grad(), wv.grad(), 0.0f, 0.0f));
 }
 
 TEST(AutogradGrad, MatMulBatchedBroadcast) {

@@ -209,6 +209,9 @@ TEST(FleetConfigTest, RemovedInt8PrecisionGetsAnActionableError) {
     const std::string what = e.what();
     EXPECT_NE(what.find("int8 tier was removed"), std::string::npos) << what;
     EXPECT_NE(what.find("use bf16"), std::string::npos) << what;
+    EXPECT_NE(what.find("in line 'profile cityA ckpt=/a precision=int8'"),
+              std::string::npos)
+        << what;
   }
 }
 

@@ -2,20 +2,26 @@
 //
 // Covers the determinism contract from DESIGN.md §4e:
 //   * GEMM (NN / NT / TN) against a naive reference over a shape grid that
-//     exercises every tail case and both the row and packed kernels. On
-//     SIMD builds the NN/TN comparisons are BIT-exact against a
-//     k-ascending simd::MulAddRef chain — the kernels promise that exact
-//     accumulation order regardless of blocking;
-//   * batched MatMul vs the rank-2 entry point (row kernel vs packed
-//     kernel must agree bitwise);
+//     exercises every tail case, plus large and long-k shapes. On SIMD
+//     builds the comparisons are BIT-exact against a k-ascending
+//     simd::MulAddRef chain — the kernels promise that exact accumulation
+//     order regardless of blocking;
+//   * batched MatMul vs the rank-2 entry point (per-batch row chunks vs
+//     Gemm2D's row tiles must agree bitwise);
 //   * vectorized transcendentals (Exp/Tanh/Sigmoid) against libm under
 //     tolerance, with exactness pinned at x = 0;
 //   * elementwise / softmax / reduction kernels against scalar references;
 //   * bit-identity across thread counts, including a short end-to-end
 //     ST-WA Fit at 1 vs 4 workers.
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -108,10 +114,11 @@ void ExpectClose(const Tensor& ref, const Tensor& out, bool bit_exact,
   }
 }
 
-// Dimensions straddling every vector width, the 6-row microkernel tile and
-// the packed-path threshold (64^3 and 65^3 take the packed kernel on SIMD
-// builds; the rest take the row kernel).
-const std::vector<int64_t> kDims = {1, 2, 3, 7, 8, 9, 16, 17, 64, 65};
+// Dimensions straddling every vector width, the 4-row tile remainders
+// (4, 5, 7, 9, 13, 17), the two-vector column block (16, 17, 24) and the
+// n = 12 tail.
+const std::vector<int64_t> kDims = {1,  2,  3,  4,  5,  7,  8, 9,
+                                    12, 13, 16, 17, 24, 64, 65};
 
 TEST(SimdGemmTest, MatMul2DMatchesReferenceOverGrid) {
   Rng rng(101);
@@ -136,11 +143,10 @@ TEST(SimdGemmTest, TransposedVariantsMatchReferenceOverGrid) {
         Tensor bt = Tensor::Randn({n, k}, rng);      // NT rhs: [n, k]
         Tensor at = Tensor::Randn({k, m}, rng);      // TN lhs: [k, m]
         Tensor b = Tensor::Randn({k, n}, rng);       // TN rhs: [k, n]
-        // NT uses lane-accumulator dot products (a different but fixed
-        // summation order), so it is tolerance-compared even on SIMD
-        // builds; TN keeps the scalar chain and is bit-exact there.
+        // Every NT/TN element is one k-ascending chain: bit-exact on
+        // SIMD builds.
         ExpectClose(RefMatMulNT(a, bt, m, n, k), ops::MatMulNT(a, bt),
-                    false, "NT");
+                    simd::kEnabled, "NT");
         ExpectClose(RefMatMulTN(at, b, m, n, k), ops::MatMulTN(at, b),
                     simd::kEnabled, "TN");
       }
@@ -148,13 +154,48 @@ TEST(SimdGemmTest, TransposedVariantsMatchReferenceOverGrid) {
   }
 }
 
+TEST(SimdGemmTest, LargeShapesMatchReference) {
+  // Many row tiles and column blocks with ragged ends, split across
+  // threads by Gemm2D; k = 520 runs NT in nine resumed K blocks.
+  Rng rng(107);
+  for (auto [m, n, k] : std::vector<std::array<int64_t, 3>>{
+           {129, 130, 131}, {128, 136, 520}}) {
+    Tensor a = Tensor::Randn({m, k}, rng);
+    Tensor b = Tensor::Randn({k, n}, rng);
+    Tensor bt = Tensor::Randn({n, k}, rng);
+    Tensor at = Tensor::Randn({k, m}, rng);
+    ExpectClose(RefMatMul(a, b, m, n, k), ops::MatMul2D(a, b),
+                simd::kEnabled, "large NN");
+    ExpectClose(RefMatMulNT(a, bt, m, n, k), ops::MatMulNT(a, bt),
+                simd::kEnabled, "large NT");
+    ExpectClose(RefMatMulTN(at, b, m, n, k), ops::MatMulTN(at, b),
+                simd::kEnabled, "large TN");
+  }
+}
+
+TEST(SimdGemmTest, LongKRowKernelsMatchReference) {
+  // k beyond one NT stack panel (64 k steps) resumes each chain from C.
+  Rng rng(108);
+  const int64_t m = 5, n = 19, k = 300;
+  Tensor a = Tensor::Randn({m, k}, rng);
+  Tensor bt = Tensor::Randn({n, k}, rng);
+  Tensor at = Tensor::Randn({k, m}, rng);
+  Tensor b = Tensor::Randn({k, n}, rng);
+  ExpectClose(RefMatMul(a, b, m, n, k), ops::MatMul2D(a, b), simd::kEnabled,
+              "long-k NN");
+  ExpectClose(RefMatMulNT(a, bt, m, n, k), ops::MatMulNT(a, bt),
+              simd::kEnabled, "long-k NT");
+  ExpectClose(RefMatMulTN(at, b, m, n, k), ops::MatMulTN(at, b),
+              simd::kEnabled, "long-k TN");
+}
+
 TEST(SimdGemmTest, BatchedMatMulBitMatchesRank2Kernel) {
-  // The batched driver dispatches per-row GemmRows* kernels while the
-  // rank-2 entry point may take the packed kernel; both must produce the
+  // The batched driver hands GemmRows* per-batch row chunks while the
+  // rank-2 entry point runs Gemm2D over row tiles; both must produce the
   // same bits (identical per-element accumulation chains).
   Rng rng(103);
   for (auto [m, k, n] : std::vector<std::array<int64_t, 3>>{
-           {5, 7, 3}, {64, 64, 64}, {65, 33, 17}}) {
+           {5, 7, 3}, {64, 64, 64}, {65, 33, 17}, {130, 129, 131}}) {
     Tensor a = Tensor::Randn({2, m, k}, rng);
     Tensor b = Tensor::Randn({2, k, n}, rng);
     Tensor batched = ops::MatMul(a, b);
@@ -167,6 +208,95 @@ TEST(SimdGemmTest, BatchedMatMulBitMatchesRank2Kernel) {
                                         << " slice " << s;
     }
   }
+}
+
+TEST(SimdGemmTest, BatchedTransposedMatchReference) {
+  // Per-batch NT/TN products, including the one-row attention shapes
+  // ([.., 1, k] x [.., n, k]^T) that run as their own transpose, a
+  // one-row NT with k too long for that (packed panel instead), and a
+  // rank-2 B shared by a rank-3 A (flattened to one GEMM).
+  Rng rng(109);
+  for (auto [m, k, n] : std::vector<std::array<int64_t, 3>>{
+           {1, 8, 3}, {1, 3, 8}, {1, 16, 17}, {1, 40, 5}, {2, 8, 2},
+           {12, 16, 16}}) {
+    Tensor a = Tensor::Randn({3, 2, m, k}, rng);
+    Tensor bt = Tensor::Randn({3, 2, n, k}, rng);
+    Tensor g = Tensor::Randn({3, 2, m, n}, rng);
+    Tensor nt = ops::MatMulNT(a, bt);
+    Tensor tn = ops::MatMulTN(a, g);
+    const Tensor b0 =
+        ops::Slice(bt.Reshape({6, n, k}), 0, 0, 1).Reshape({n, k});
+    Tensor shared = ops::MatMulNT(a.Reshape({6, m, k}), b0);
+    for (int64_t s = 0; s < 6; ++s) {
+      const Tensor as = ops::Slice(a.Reshape({6, m, k}), 0, s, 1)
+                            .Reshape({m, k});
+      const Tensor bs = ops::Slice(bt.Reshape({6, n, k}), 0, s, 1)
+                            .Reshape({n, k});
+      const Tensor gs = ops::Slice(g.Reshape({6, m, n}), 0, s, 1)
+                            .Reshape({m, n});
+      ExpectClose(RefMatMulNT(as, bs, m, n, k),
+                  ops::Slice(nt.Reshape({6, m, n}), 0, s, 1).Reshape({m, n}),
+                  simd::kEnabled, "batched NT");
+      ExpectClose(RefMatMulTN(as, gs, k, n, m),
+                  ops::Slice(tn.Reshape({6, k, n}), 0, s, 1).Reshape({k, n}),
+                  simd::kEnabled, "batched TN");
+      ExpectClose(RefMatMulNT(as, b0, m, n, k),
+                  ops::Slice(shared, 0, s, 1).Reshape({m, n}),
+                  simd::kEnabled, "shared-B NT");
+    }
+  }
+}
+
+// Ragged tails against a PROT_NONE page: a partial load must read, and a
+// partial store must write, nothing past p[n-1].
+TEST(SimdTailTest, PartialLoadStoreNeverCrossN) {
+  constexpr int64_t kW = simd::Vec::kWidth;
+  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  void* mem = mmap(nullptr, 2 * page, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(mem, MAP_FAILED);
+  char* guard = static_cast<char*>(mem) + page;
+  ASSERT_EQ(mprotect(guard, page, PROT_NONE), 0);
+  float* end = reinterpret_cast<float*>(guard);
+  const float kNegInf = -std::numeric_limits<float>::infinity();
+  for (int64_t n = 0; n <= kW; ++n) {
+    float* p = end - n;  // p[n-1] is the last readable float
+    for (int64_t i = 0; i < n; ++i) p[i] = 1.5f + static_cast<float>(i);
+    for (float pad : {0.0f, kNegInf}) {
+      float lanes[kW];
+      simd::LoadPartial(p, n, pad).Store(lanes);
+      for (int64_t i = 0; i < kW; ++i) {
+        if (i < n) {
+          EXPECT_EQ(lanes[i], p[i]) << "n=" << n << " lane " << i;
+        } else if (pad == 0.0f) {
+          EXPECT_EQ(std::bit_cast<uint32_t>(lanes[i]), 0u)
+              << "n=" << n << " lane " << i << " must be +0";
+        } else {
+          EXPECT_EQ(lanes[i], kNegInf) << "n=" << n << " lane " << i;
+        }
+      }
+    }
+    // Store n lanes up to the guard page, then into a sentinel buffer to
+    // check the lanes past n stay untouched.
+    float src[kW];
+    for (int64_t i = 0; i < kW; ++i) src[i] = -3.0f - static_cast<float>(i);
+    const simd::Vec v = simd::Vec::Load(src);
+    simd::StorePartial(v, p, n);
+    for (int64_t i = 0; i < n; ++i) EXPECT_EQ(p[i], src[i]) << "n=" << n;
+    float sentinel[kW + 1];
+    for (float& x : sentinel) x = 7.0f;
+    simd::StorePartial(v, sentinel, n);
+    for (int64_t i = 0; i <= kW; ++i) {
+      EXPECT_EQ(sentinel[i], i < n ? src[i] : 7.0f) << "n=" << n << " i=" << i;
+    }
+    // MaskFirstN keeps the first n lanes and fills the rest.
+    float masked[kW];
+    simd::MaskFirstN(v, n, kNegInf).Store(masked);
+    for (int64_t i = 0; i < kW; ++i) {
+      EXPECT_EQ(masked[i], i < n ? src[i] : kNegInf) << "n=" << n;
+    }
+  }
+  munmap(mem, 2 * page);
 }
 
 TEST(SimdVecMathTest, TranscendentalsTrackLibm) {
